@@ -36,10 +36,9 @@ print()
 
 print("Transition rows, operator route vs recurrence route")
 print("---------------------------------------------------")
-table = a_table(4)
 for n in range(1, 5):
     row = transition_row(n)
-    agree = all(row.get(p, table.get(0, 1)) == table.get(n, p) for p in range(1, n + 1))
+    agree = row == dict(a_table(n))
     print(f"  n = {n}: rows agree ({len(row)} entries):", agree)
 print()
 

@@ -4,8 +4,7 @@ polynomials through their cyclotomic expansions.
 The library is organized bottom-up:
 
 ``exactalg``   sparse Laurent polynomials, brace fractions, truncated series
-``qcombo``     q-integers, q-binomials, Chebyshev sequences, classical
-               cyclotomic coefficients
+``qcombo``     q-integers, q-binomials, classical cyclotomic coefficients
 ``daha``       Dunkl-operator module actions and the operator route to the
                transition coefficients
 ``cyclo``      the transition-coefficient recurrence and the generalized
@@ -17,21 +16,19 @@ The library is organized bottom-up:
 """
 
 from .exactalg import (JSON_VARS, VARS, LaurentPoly, NonUnitConstantTerm, QFraction,
-                       TruncatedSeries, frac_reduce, qfrac_sum, series_invert)
-from .qcombo import (ChebCoeffs, alpha_weight, cheb_eval, chebyshev, cyclotomic_c,
-                     eigen_product, gauss_qbinom, qbinom, qbrace, qint, qpochhammer)
+                       TruncatedSeries, qbrace_poly, qfrac_sum)
+from .qcombo import (alpha_weight, cyclotomic_c, eigen_product, gauss_qbinom, qbinom,
+                     qint, qpochhammer)
 from .daha import (NonPolynomialResult, NotSkewSymmetric, UPoly, XFrac, act_basic,
-                   act_y_dunkl, base_vector, dunkl_pair, dunkl_pair_eval, dunkl_y,
-                   hecke_defect, polyrep_act, t1_act, t3_act, transition_row)
-from .cyclo import (ATable, CoeffTable, IntegralityViolation, a_ratio, a_table,
-                    coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
-                    coeff_table, eigen_series)
+                   base_vector, dunkl_pair, dunkl_pair_eval, dunkl_y, hecke_defect,
+                   polyrep_act, t1_act, t3_act, transition_row)
+from .cyclo import (IntegralityViolation, a_ratio, a_table, coeff_det_series,
+                    coeff_series, coeff_sum, coeff_t2one, eigen_series)
 from .macdonald import (DegenerateRecurrence, MacPoly, genfun_matches, mac_p,
                         renorm_factor, rogers_c, rogers_from_recurrence)
-from .knots import (KnotRecord, MissingHabiro, RepClass, RouteUnavailable,
-                    builtin_knot, classical_jones, figure_eight, generalized_jones,
-                    knot_from_dict, load_knot_file, sigma_trace, tilde_v,
-                    universal_eval, unknot)
+from .knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
+                    classical_jones, figure_eight, generalized_jones, knot_from_dict,
+                    load_knot_file, sigma_trace, specialize, universal_eval, unknot)
 
 __version__ = "0.1.0"
 

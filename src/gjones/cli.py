@@ -18,11 +18,11 @@ import argparse
 import json
 import sys
 
-from .cyclo import (IntegralityViolation, a_table, coeff_det_series, coeff_series,
-                    coeff_sum, coeff_t2one)
-from .exactalg import LaurentPoly
+from .cyclo import (IntegralityViolation, _series_coeff_poly, a_table, coeff_det_series,
+                    coeff_series, coeff_sum, coeff_t2one)
+from .exactalg import LaurentPoly, QFraction
 from .knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
-                    generalized_jones, load_knot_file)
+                    generalized_jones, load_knot_file, specialize)
 from .qcombo import cyclotomic_c
 from .verify import SUITES, CheckFailed, run_suite
 
@@ -115,20 +115,16 @@ def _cmd_coeff(args) -> str:
     if args.route == "sum":
         poly = coeff_sum(n, i)
     elif args.route == "series":
-        poly = coeff_series(i, order).coeff(n).as_poly()
+        poly = _series_coeff_poly(coeff_series(i, order), n, i)
     elif args.route == "det":
         if i > 3:
             raise CLIError("the det route is limited to i <= 3")
-        poly = coeff_det_series(i, order).coeff(n).as_poly()
+        poly = _series_coeff_poly(coeff_det_series(i, order), n, i)
     else:
         if t2 != 1:
             raise CLIError("the macdonald route needs --t2 1")
         poly = coeff_t2one(n, i)
-    if t1 == 1:
-        poly = poly.substitute("t1", 1)
-    if t2 == 1 and args.route != "macdonald":
-        poly = poly.substitute("t2", 1)
-    return _render_poly(poly, args.format)
+    return _render_poly(specialize(poly, t1, t2), args.format)
 
 
 def _cmd_jones(args) -> str:
@@ -155,10 +151,10 @@ def _cmd_table(args) -> str:
     lines: list[str] = []
     rows = []
     if args.what == "a":
-        table = a_table(nmax)
         for n in range(1, nmax + 1):
+            row = a_table(n)
             for p in range(1, n + 1):
-                f = table.get(n, p).reduced()
+                f = row.get(p, QFraction.zero())
                 if args.format == "json":
                     rows.append({"n": n, "p": p, "num": f.num.json_terms(),
                                  "den": list(f.den)})
@@ -171,11 +167,7 @@ def _cmd_table(args) -> str:
                     poly = cyclotomic_c(n, i)
                     label = "c"
                 else:
-                    poly = coeff_sum(n, i)
-                    if t1 == 1:
-                        poly = poly.substitute("t1", 1)
-                    if t2 == 1:
-                        poly = poly.substitute("t2", 1)
+                    poly = specialize(coeff_sum(n, i), t1, t2)
                     label = "chat"
                 if args.format == "json":
                     rows.append({"n": n, "i": i, "terms": poly.json_terms()})

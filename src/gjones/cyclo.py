@@ -19,8 +19,9 @@ Generalized cyclotomic coefficients are then available by four routes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .exactalg import LaurentPoly, QFraction, TruncatedSeries, qbrace_poly, qfrac_sum
 from .macdonald import rogers_c
@@ -48,78 +49,43 @@ def a_ratio(p: int) -> QFraction:
     return QFraction(num, (m,))
 
 
-@dataclass(frozen=True)
-class ATable:
-    """Triangular table of transition coefficients a[n][p], 1 <= p <= n <= nmax."""
+@lru_cache(maxsize=None)
+def a_table(n: int) -> Mapping[int, QFraction]:
+    """Row n of the table as a read-only mapping {p: a[n][p]} of its nonzero
+    entries, 1 <= p <= n.
 
-    nmax: int
-    rows: tuple[dict[int, QFraction], ...]
-
-    def get(self, n: int, p: int) -> QFraction:
-        """Entry with the skew extension: a[n][-p] = -a[n][p], a[n][0] = 0."""
-        if n < 1 or n > self.nmax or p == 0 or abs(p) > n:
-            return QFraction.zero()
-        row = self.rows[n - 1]
-        if p > 0:
-            return row.get(p, QFraction.zero())
-        v = row.get(-p)
-        return -v if v is not None else QFraction.zero()
-
-    def row(self, n: int) -> dict[int, QFraction]:
-        return dict(self.rows[n - 1])
-
-
-@lru_cache(maxsize=8)
-def a_table(nmax: int) -> ATable:
-    """Fill the table row by row from the recurrence and boundary rows."""
-    if nmax < 1:
-        raise ValueError("a_table requires nmax >= 1")
-    rows: list[dict[int, QFraction]] = [{1: QFraction.one()}]
-    for n in range(1, nmax):
-        prev = rows[n - 1]
-        below = rows[n - 2] if n >= 2 else {}
-        cur: dict[int, QFraction] = {}
-        for p in range(1, n + 2):
-            acc = QFraction.zero()
-            left = prev.get(p - 1)
-            if left is not None:
-                acc = acc + a_ratio(p) * left
-            mid = prev.get(p)
-            if mid is not None:
-                acc = acc + (a_ratio(p) - a_ratio(p + 1)) * mid
-            right = prev.get(p + 1)
-            if right is not None:
-                acc = acc + a_ratio(-p) * right
-            low = below.get(p)
-            if low is not None:
-                acc = acc - low
-            acc = acc.reduced()
-            if not acc.is_zero:
-                cur[p] = acc
-        rows.append(cur)
-    return ATable(nmax, tuple(rows))
-
-
-def _coeff_sum_impl(n: int, i: int, table: ATable) -> LaurentPoly:
-    parts = []
-    for p in range(i, n + 1):
-        a = table.get(n, p)
-        if a.is_zero:
-            continue
-        term = a * cyclotomic_c(p, i)
-        parts.append(term if (n + p) % 2 == 0 else -term)
-    try:
-        return qfrac_sum(parts).as_poly()
-    except ValueError as exc:
-        raise IntegralityViolation(f"coefficient (n={n}, i={i}) kept {exc}") from exc
+    Rows are cached for the life of the process and row n is built from
+    rows n-1 and n-2, so the table grows on demand and no row is built twice.
+    """
+    if n < 1:
+        raise ValueError("a_table requires n >= 1")
+    if n == 1:
+        return MappingProxyType({1: QFraction.one()})
+    prev = a_table(n - 1)
+    below = a_table(n - 2) if n > 2 else {}
+    cur: dict[int, QFraction] = {}
+    for p in range(1, n + 1):
+        acc = QFraction.zero()
+        left = prev.get(p - 1)
+        if left is not None:
+            acc = acc + a_ratio(p) * left
+        mid = prev.get(p)
+        if mid is not None:
+            acc = acc + (a_ratio(p) - a_ratio(p + 1)) * mid
+        right = prev.get(p + 1)
+        if right is not None:
+            acc = acc + a_ratio(-p) * right
+        low = below.get(p)
+        if low is not None:
+            acc = acc - low
+        acc = acc.reduced()
+        if not acc.is_zero:
+            cur[p] = acc
+    return MappingProxyType(cur)
 
 
 @lru_cache(maxsize=None)
-def _coeff_sum_cached(n: int, i: int) -> LaurentPoly:
-    return _coeff_sum_impl(n, i, a_table(n))
-
-
-def coeff_sum(n: int, i: int, table: ATable | None = None) -> LaurentPoly:
+def coeff_sum(n: int, i: int) -> LaurentPoly:
     """Generalized cyclotomic coefficient via sum_{p=i}^{n} (-1)^(n+p) a[n][p] c[p][i-1].
 
     The classical coefficients vanish for p < i, so the sum starts at i.
@@ -128,9 +94,16 @@ def coeff_sum(n: int, i: int, table: ATable | None = None) -> LaurentPoly:
     """
     if i < 1 or n < i:
         raise IndexError(f"coeff_sum out of range: n={n}, i={i}")
-    if table is None:
-        return _coeff_sum_cached(n, i)
-    return _coeff_sum_impl(n, i, table)
+    parts = []
+    for p, a in a_table(n).items():
+        if p < i:
+            continue
+        term = a * cyclotomic_c(p, i)
+        parts.append(term if (n + p) % 2 == 0 else -term)
+    try:
+        return qfrac_sum(parts).as_poly()
+    except ValueError as exc:
+        raise IntegralityViolation(f"coefficient (n={n}, i={i}) kept {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -271,39 +244,6 @@ def coeff_t2one(n: int, i: int) -> LaurentPoly:
         return acc.as_poly()
     except ValueError as exc:
         raise IntegralityViolation(f"t2=1 coefficient (n={n}, i={i}) kept {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Triangular tables of classical and generalized coefficients."""
-
-    nmax: int
-    route: str
-    classical: tuple[tuple[LaurentPoly, ...], ...]
-    generalized: tuple[tuple[LaurentPoly, ...], ...]
-
-    def c(self, n: int, i: int) -> LaurentPoly:
-        return self.classical[n - 1][i - 1]
-
-    def chat(self, n: int, i: int) -> LaurentPoly:
-        return self.generalized[n - 1][i - 1]
-
-
-def coeff_table(nmax: int, route: str = "sum") -> CoeffTable:
-    if route not in ("sum", "series", "det"):
-        raise ValueError(f"unknown route {route!r}")
-    classical = tuple(tuple(cyclotomic_c(n, i) for i in range(1, n + 1))
-                      for n in range(1, nmax + 1))
-    if route == "sum":
-        table = a_table(nmax)
-        gen = tuple(tuple(coeff_sum(n, i, table) for i in range(1, n + 1))
-                    for n in range(1, nmax + 1))
-    else:
-        maker = coeff_series if route == "series" else coeff_det_series
-        cols = {i: maker(i, nmax) for i in range(1, nmax + 1)}
-        gen = tuple(tuple(_series_coeff_poly(cols[i], n, i) for i in range(1, n + 1))
-                    for n in range(1, nmax + 1))
-    return CoeffTable(nmax, route, classical, gen)
 
 
 def _series_coeff_poly(series: TruncatedSeries, n: int, i: int) -> LaurentPoly:

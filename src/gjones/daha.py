@@ -169,10 +169,6 @@ def dunkl_y(f: UPoly, inverse: bool = False) -> UPoly:
     return UPoly(out)
 
 
-def act_y_dunkl(f: UPoly, inverse: bool = False) -> UPoly:
-    return dunkl_y(f, inverse)
-
-
 def dunkl_pair(f: UPoly) -> UPoly:
     """f . (Y' + Y'^-1)."""
     return dunkl_y(f) + dunkl_y(f, inverse=True)

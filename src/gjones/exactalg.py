@@ -31,6 +31,7 @@ q, t1, t2, ..., module variable).
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable
 
 VARS = ("q", "t1", "t2", "t3", "t4", "U", "X", "x", "lam")
@@ -43,6 +44,8 @@ _MASK = (1 << _FIELD) - 1
 _EXP_LIMIT = 1 << 17        # construction-time guard, leaves product headroom
 _SHIFTS = tuple(_FIELD * (_NV - 1 - i) for i in range(_NV))
 _OFFSET = sum(_BIAS << s for s in _SHIFTS)
+# q = 2 and a distinct prime for each other variable, in VARS order
+_HASH_POINT = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 # JSON term lists expose exponents for the public variables, in this order.
 JSON_VARS = ("q", "t1", "t2", "U", "X", "x", "lam")
@@ -134,18 +137,6 @@ class LaurentPoly:
 
     def coeff(self, **exps: int) -> int:
         return self._t.get(_mono_key(**exps), 0)
-
-    def exponents(self, name: str) -> set[int]:
-        s = _SHIFTS[_VIDX[name]]
-        return {((k >> s) & _MASK) - _BIAS for k in self._t}
-
-    def vars_used(self) -> set[str]:
-        used: set[str] = set()
-        for k in self._t:
-            for i, s in enumerate(_SHIFTS):
-                if ((k >> s) & _MASK) != _BIAS:
-                    used.add(VARS[i])
-        return used
 
     def as_single_term(self) -> tuple[tuple[int, ...], int]:
         if len(self._t) != 1:
@@ -468,10 +459,6 @@ class QFraction:
 
     __rmul__ = __mul__
 
-    def over_braces(self, ms: Iterable[int]) -> QFraction:
-        """Divide by the brace factors {m} for each m in ``ms``."""
-        return QFraction(self.num, self.den + tuple(ms))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = QFraction(other)
@@ -481,8 +468,17 @@ class QFraction:
         return na == nb
 
     def __hash__(self) -> int:
-        r = self.reduced()
-        return hash((r.num, r.den))
+        # reduced() is not canonical (({9}/{3})/{9} stays as it is while
+        # equal to 1/{3}), so hash the exact value at a point where no
+        # brace vanishes
+        val = Fraction(0)
+        for mono, c in self.num.terms_sorted():
+            for v, e in zip(_HASH_POINT, mono):
+                c *= Fraction(v) ** e
+            val += c
+        for m in self.den:
+            val /= Fraction(2) ** m - Fraction(2) ** -m
+        return hash(val)
 
     def reduced(self) -> QFraction:
         """Remove every brace factor that divides the numerator exactly."""
@@ -537,10 +533,6 @@ class QFraction:
 
     def __repr__(self) -> str:
         return f"QFraction({self.render()})"
-
-
-def frac_reduce(f: QFraction) -> QFraction:
-    return f.reduced()
 
 
 def qfrac_sum(terms: Iterable[QFraction]) -> QFraction:
@@ -660,7 +652,3 @@ class TruncatedSeries:
         return f"{body} + O(lam^{self.order + 1})"
 
     __repr__ = __str__
-
-
-def series_invert(s: TruncatedSeries) -> TruncatedSeries:
-    return s.invert()

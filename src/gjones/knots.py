@@ -10,17 +10,19 @@ figure-eight); everything else is ingested from JSON files of the form
      "all_ones": bool}
 
 where habiro[k] lists the terms of H_k.  all_ones = true means H_k = 1
-for every k.  Coefficients must be integers.
+for every k.  Exponents and coefficients must be integers and all_ones a
+boolean; JSON booleans do not pass as integers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import ATable, IntegralityViolation, a_table, coeff_series, coeff_sum, coeff_t2one
-from .exactalg import LaurentPoly, QFraction, qfrac_sum
+from .cyclo import (IntegralityViolation, _series_coeff_poly, a_table, coeff_series,
+                    coeff_sum, coeff_t2one)
+from .exactalg import LaurentPoly, qfrac_sum
 from .qcombo import cyclotomic_c, qint
 
 
@@ -79,19 +81,32 @@ def builtin_knot(name: str) -> KnotRecord:
         raise KeyError(f"unknown knot {name!r}; built-ins: unknot, figure-eight") from None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def knot_from_dict(data: dict) -> KnotRecord:
+    if not isinstance(data, dict):
+        raise ValueError("knot record must be a JSON object")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("knot record needs a nonempty string 'name'")
-    all_ones = bool(data.get("all_ones", False))
+    all_ones = data.get("all_ones", False)
+    if not isinstance(all_ones, bool):
+        raise ValueError("'all_ones' must be a JSON boolean")
+    habiro = data.get("habiro", [])
+    if not isinstance(habiro, list):
+        raise ValueError("'habiro' must be a list of term lists")
     seq = []
-    for k, terms in enumerate(data.get("habiro", [])):
+    for k, terms in enumerate(habiro):
+        if not isinstance(terms, list):
+            raise ValueError(f"H_{k}: must be a list of [q_exponent, coeff] terms")
         p = LaurentPoly.zero()
         for entry in terms:
-            if len(entry) != 2:
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"H_{k}: each term must be [q_exponent, coeff]")
             e, c = entry
-            if not isinstance(e, int) or not isinstance(c, int) or isinstance(c, bool):
+            if not _is_int(e) or not _is_int(c):
                 raise ValueError(f"H_{k}: exponents and coefficients must be integers")
             p = p + LaurentPoly.term(c, q=e)
         seq.append(p)
@@ -119,7 +134,8 @@ def classical_jones(knot: KnotRecord, n: int) -> LaurentPoly:
     return out
 
 
-def _specialize(p: LaurentPoly, t1, t2) -> LaurentPoly:
+def specialize(p: LaurentPoly, t1, t2) -> LaurentPoly:
+    """Set t1 and/or t2 to 1 where the argument is the int 1; None keeps the variable."""
     if t1 == 1:
         p = p.substitute("t1", 1)
     if t2 == 1:
@@ -128,7 +144,7 @@ def _specialize(p: LaurentPoly, t1, t2) -> LaurentPoly:
 
 
 def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
-                      route: str = "sum", table: ATable | None = None) -> LaurentPoly:
+                      route: str = "sum") -> LaurentPoly:
     """The two-parameter deformation sum_i chat[n][i-1](q, t1, t2) H_{i-1}(q).
 
     ``t1``/``t2`` are either None (keep the formal variable) or the int 1.
@@ -150,47 +166,18 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
         cols = {i: coeff_series(i, n) for i in range(1, n + 1)}
 
         def chat(nn: int, i: int) -> LaurentPoly:
-            try:
-                return cols[i].coeff(nn).as_poly()
-            except ValueError as exc:
-                raise IntegralityViolation(str(exc)) from exc
+            return _series_coeff_poly(cols[i], nn, i)
     elif route == "macdonald":
-        def chat(nn: int, i: int) -> LaurentPoly:
-            return coeff_t2one(nn, i)
+        chat = coeff_t2one
     else:
-        def chat(nn: int, i: int) -> LaurentPoly:
-            return coeff_sum(nn, i, table)
+        chat = coeff_sum
 
     out = LaurentPoly.zero()
     for i in range(1, n + 1):
         h = knot.habiro_at(i - 1)
         if not h.is_zero:
             out = out + chat(n, i) * h
-    return _specialize(out, t1, t2)
-
-
-@dataclass(frozen=True)
-class RepClass:
-    """A finite combination of irreducible classes [V_p] with QFraction weights."""
-
-    coeffs: dict[int, QFraction] = field(default_factory=dict)
-
-    def coeff(self, p: int) -> QFraction:
-        return self.coeffs.get(p, QFraction.zero())
-
-
-def tilde_v(n: int, table: ATable | None = None) -> RepClass:
-    """The deformed class: coefficient of [V_p] is (-1)^(n+p) a[n][p]."""
-    if n < 1:
-        raise ValueError("tilde_v requires n >= 1")
-    if table is None:
-        table = a_table(n)
-    out: dict[int, QFraction] = {}
-    for p in range(1, n + 1):
-        a = table.get(n, p)
-        if not a.is_zero:
-            out[p] = a if (n + p) % 2 == 0 else -a
-    return RepClass(out)
+    return specialize(out, t1, t2)
 
 
 def sigma_trace(k: int, n: int) -> LaurentPoly:
@@ -216,8 +203,7 @@ def sigma_trace(k: int, n: int) -> LaurentPoly:
     return out
 
 
-def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None,
-                   table: ATable | None = None) -> LaurentPoly:
+def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None) -> LaurentPoly:
     """Evaluate through the deformed class: sum_p (-1)^(n+p) a[n][p] J_p(q).
 
     Agrees exactly with ``generalized_jones``; the classical polynomials
@@ -228,17 +214,12 @@ def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None,
         raise ValueError("color n must be >= 0")
     if n == 0:
         return LaurentPoly.zero()
-    if table is None:
-        table = a_table(n)
     parts = []
-    for p in range(1, n + 1):
-        a = table.get(n, p)
-        if a.is_zero:
-            continue
+    for p, a in a_table(n).items():
         term = a * classical_jones(knot, p)
         parts.append(term if (n + p) % 2 == 0 else -term)
     try:
         poly = qfrac_sum(parts).as_poly()
     except ValueError as exc:
         raise IntegralityViolation(f"universal evaluation at n={n}: {exc}") from exc
-    return _specialize(poly, t1, t2)
+    return specialize(poly, t1, t2)

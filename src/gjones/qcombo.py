@@ -1,8 +1,8 @@
 """q-combinatorial building blocks.
 
-Braces, balanced q-integers and q-binomials, finite q-Pochhammer products,
-Chebyshev coefficient sequences, the classical cyclotomic coefficients, and
-the signed binomial weights with their companion product polynomial.
+Balanced q-integers and q-binomials, finite q-Pochhammer products, the
+classical cyclotomic coefficients, and the signed binomial weights with
+their companion product polynomial.
 
 Balanced convention throughout: [n] in base b is the Laurent polynomial
 sum_{j=0}^{n-1} q^{b(n-1-2j)}, i.e. [n] in the variable q^b, symmetric
@@ -11,15 +11,9 @@ under q -> q^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactalg import LaurentPoly, QFraction, qbrace_poly
-
-
-def qbrace(n: int) -> LaurentPoly:
-    """{n} = q^n - q^-n; antisymmetric in n, {0} = 0."""
-    return qbrace_poly(n)
 
 
 def _check_base(base: int) -> None:
@@ -83,49 +77,6 @@ def qpochhammer(a_qexp: int, base_exp: int, n: int) -> LaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
-class ChebCoeffs:
-    """Coefficient sequence of a Chebyshev polynomial in its argument.
-
-    ``coeffs[d]`` is the integer coefficient of arg^d.  Kind T starts from
-    T0 = 2, T1 = arg; kind S from S0 = 1, S1 = arg; both satisfy
-    P_{n+1} = arg*P_n - P_{n-1}.
-    """
-    kind: str
-    n: int
-    coeffs: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def chebyshev(kind: str, n: int) -> ChebCoeffs:
-    if kind not in ("T", "S"):
-        raise ValueError("kind must be 'T' or 'S'")
-    if n < 0:
-        raise ValueError("chebyshev requires n >= 0")
-    prev = [2] if kind == "T" else [1]
-    if n == 0:
-        return ChebCoeffs(kind, 0, tuple(prev))
-    cur = [0, 1]
-    for _ in range(n - 1):
-        nxt = [0] + cur
-        for d, c in enumerate(prev):
-            nxt[d] -= c
-        prev, cur = cur, nxt
-    return ChebCoeffs(kind, n, tuple(cur))
-
-
-def cheb_eval(c: ChebCoeffs, arg: LaurentPoly) -> LaurentPoly:
-    """Expand the coefficient sequence at a polynomial argument."""
-    out = LaurentPoly.zero()
-    p = LaurentPoly.one()
-    for d, cd in enumerate(c.coeffs):
-        if cd:
-            out = out + p * cd
-        if d < len(c.coeffs) - 1:
-            p = p * arg
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_c(n: int, i: int) -> LaurentPoly:
     """Classical cyclotomic coefficient c_{n,i-1}, 1 <= i <= n.
@@ -137,7 +88,7 @@ def cyclotomic_c(n: int, i: int) -> LaurentPoly:
         raise IndexError(f"cyclotomic_c out of range: n={n}, i={i}")
     num = LaurentPoly.one()
     for p in range(n - i + 1, n + i):
-        num = num * qbrace(2 * p)
+        num = num * qbrace_poly(2 * p)
     return QFraction(num, (2,)).as_poly()
 
 

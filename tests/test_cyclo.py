@@ -3,12 +3,12 @@ import pytest
 from gjones import daha
 from gjones.cyclo import (a_ratio, a_table, b_entry,
                           coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
-                          coeff_table, eigen_series, gamma_lam)
+                          eigen_series, gamma_lam)
 from gjones.exactalg import LaurentPoly as L, QFraction as F, qbrace_poly
+from gjones.knots import figure_eight, generalized_jones, universal_eval
 from gjones.qcombo import cyclotomic_c
 
 NMAX = 6
-TABLE = a_table(NMAX)
 
 
 def spec11(f):
@@ -40,17 +40,37 @@ def test_a_ratio_negative_index():
 # -- the table ----------------------------------------------------------------
 
 def test_boundary_rows():
-    assert TABLE.get(1, 1) == F.one()
-    assert TABLE.get(3, 0).is_zero
-    assert TABLE.get(3, 4).is_zero
-    assert TABLE.get(2, -1) == -TABLE.get(2, 1)
+    assert dict(a_table(1)) == {1: F.one()}
+    assert 0 not in a_table(3) and 4 not in a_table(3)
+    with pytest.raises(TypeError):
+        a_table(3)[1] = F.one()
+    with pytest.raises(ValueError):
+        a_table(0)
+
+
+def test_rows_collapse_at_t_one():
+    # at t1 = t2 = 1 only a[n][n] = 1 survives
+    for n in range(1, NMAX + 1):
+        for p, a in a_table(n).items():
+            assert spec11(a).reduced() == (F.one() if p == n else F.zero()), (n, p)
+
+
+def test_table_grows_once():
+    a_table.cache_clear()
+    coeff_sum.cache_clear()
+    for i in range(1, 9):
+        coeff_sum(8, i)
+    assert a_table.cache_info().misses == 8     # rows 1..8, each built once
+    for n in range(1, 9):
+        assert universal_eval(figure_eight(), n) == generalized_jones(figure_eight(), n), n
+    assert a_table.cache_info().misses == 8
 
 
 def test_top_entries_product_form():
     prod = F.one()
     for n in range(2, NMAX + 1):
         prod = prod * a_ratio(n)
-        assert TABLE.get(n, n) == prod, n
+        assert a_table(n)[n] == prod, n
 
 
 def test_next_to_top_entries():
@@ -59,14 +79,14 @@ def test_next_to_top_entries():
         for k in range(2, n):
             prod = prod * a_ratio(k)
         want = prod * (a_ratio(1) - a_ratio(n))
-        assert TABLE.get(n, n - 1) == want, n
+        assert a_table(n)[n - 1] == want, n
 
 
 def test_table_matches_operator_rows():
     for n in range(1, NMAX + 1):
         row = daha.transition_row(n)
         for p in range(1, n + 1):
-            assert row.get(p, F.zero()) == TABLE.get(n, p), (n, p)
+            assert row.get(p, F.zero()) == a_table(n).get(p, F.zero()), (n, p)
 
 
 # -- the weighted sum -----------------------------------------------------------
@@ -74,7 +94,7 @@ def test_table_matches_operator_rows():
 def test_coeff_sum_classical_at_t_one():
     for n in range(1, NMAX + 1):
         for i in range(1, n + 1):
-            assert spec11(F(coeff_sum(n, i, TABLE))) == F(cyclotomic_c(n, i)), (n, i)
+            assert spec11(F(coeff_sum(n, i))) == F(cyclotomic_c(n, i)), (n, i)
 
 
 def test_coeff_sum_top_coefficient():
@@ -82,14 +102,14 @@ def test_coeff_sum_top_coefficient():
         prod = F.one()
         for k in range(2, n + 1):
             prod = prod * a_ratio(k)
-        assert F(coeff_sum(n, n, TABLE)) == F(cyclotomic_c(n, n)) * prod, n
+        assert F(coeff_sum(n, n)) == F(cyclotomic_c(n, n)) * prod, n
 
 
 def test_coeff_sum_range_errors():
     with pytest.raises(IndexError):
-        coeff_sum(3, 4, TABLE)
+        coeff_sum(3, 4)
     with pytest.raises(IndexError):
-        coeff_sum(3, 0, TABLE)
+        coeff_sum(3, 0)
 
 
 # -- series route ---------------------------------------------------------------
@@ -132,7 +152,7 @@ def test_series_route_matches_sum_route():
             if n < i:
                 assert g.coeff(n).reduced().is_zero, (n, i)
             else:
-                assert g.coeff(n) == F(coeff_sum(n, i, TABLE)), (n, i)
+                assert g.coeff(n) == F(coeff_sum(n, i)), (n, i)
 
 
 def test_series_vanishing_below_diagonal():
@@ -181,7 +201,7 @@ def test_det_t2one_factorized_form():
 def test_t2one_route_matches_sum():
     for n in range(1, NMAX + 1):
         for i in range(1, n + 1):
-            assert coeff_t2one(n, i) == coeff_sum(n, i, TABLE).substitute("t2", 1), (n, i)
+            assert coeff_t2one(n, i) == coeff_sum(n, i).substitute("t2", 1), (n, i)
 
 
 def test_t2one_trivial_cases():
@@ -194,15 +214,3 @@ def test_t2one_trivial_cases():
     want = (F(cyclotomic_c(2, 2)) * a_ratio(2).substitute("t2", 1)).as_poly()
     assert got == want
 
-
-# -- table object -------------------------------------------------------------------
-
-def test_coeff_table_routes_agree():
-    ts = coeff_table(4, route="sum")
-    tseries = coeff_table(4, route="series")
-    for n in range(1, 5):
-        for i in range(1, n + 1):
-            assert ts.chat(n, i) == tseries.chat(n, i), (n, i)
-            assert ts.c(n, i) == cyclotomic_c(n, i)
-    with pytest.raises(ValueError):
-        coeff_table(3, route="bogus")

@@ -6,7 +6,6 @@ from gjones.daha import (NonPolynomialResult, NotSkewSymmetric, UPoly, XFrac,
                          act_basic, base_vector, dunkl_pair, dunkl_pair_eval,
                          dunkl_y, hecke_defect, polyrep_act, transition_row)
 from gjones.exactalg import LaurentPoly as L, QFraction as F
-from gjones.qcombo import chebyshev
 
 
 def fr(*parts):
@@ -98,9 +97,8 @@ def test_skew_extraction_and_guard():
 
 
 def test_transition_matches_chebyshev_expansion():
-    # expand S_2 through its coefficient sequence and compare with the chain
+    # S_2(u) = u^2 - 1, so the chain must equal e.(Y'+Y'^-1)^2 - e
     e = base_vector()
-    s2 = chebyshev("S", 2)           # u^2 - 1
     pair1 = dunkl_pair(e)
     pair2 = dunkl_pair(pair1)
     direct = pair2 - e               # e.(Y'+Y'^-1)^2 - e

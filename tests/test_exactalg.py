@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gjones.exactalg import (LaurentPoly, NonUnitConstantTerm, QFraction,
                              TruncatedSeries, divide_brace, divide_one_minus_sq,
-                             frac_reduce, qbrace_poly, qfrac_sum, series_invert)
+                             qbrace_poly, qfrac_sum)
 
 L = LaurentPoly
 
@@ -137,9 +137,18 @@ def test_reduce_examples():
 def test_reduce_preserves_value(num, den):
     from gjones.exactalg import brace_product
     f = QFraction(num, den)
-    r = frac_reduce(f)
+    r = f.reduced()
     assert f.num * brace_product(r.den) == r.num * brace_product(f.den)
-    assert f == r
+    assert f == r and hash(f) == hash(r)
+
+
+def test_hash_agrees_with_eq():
+    # reduce() leaves ({9}/{3})/{9} as it is, yet it equals 1/{3}
+    a = QFraction(qbrace_poly(9), (3, 9))
+    b = QFraction(1, (3,))
+    assert a == b and a.reduced().den != b.den
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert QFraction(5) == 5 and hash(QFraction(5)) == hash(5)
 
 
 def test_fraction_arithmetic_common_denominator():
@@ -185,7 +194,7 @@ def test_substitute_blocks_q_with_denominator():
 
 def test_invert_one_and_geometric():
     one = TruncatedSeries.one(6)
-    assert series_invert(one) == one
+    assert one.invert() == one
     s = TruncatedSeries([1, -1], 6)
     inv = s.invert()
     assert all(inv.coeff(k) == QFraction(1) for k in range(7))

@@ -2,15 +2,13 @@ import json
 
 import pytest
 
-from gjones.cyclo import a_ratio, a_table
-from gjones.exactalg import LaurentPoly as L, QFraction as F
+from gjones.cli import main
+from gjones.exactalg import LaurentPoly as L
 from gjones.knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
                           classical_jones, figure_eight, generalized_jones,
-                          knot_from_dict, load_knot_file, sigma_trace, tilde_v,
+                          knot_from_dict, load_knot_file, sigma_trace,
                           universal_eval, unknot)
 from gjones.qcombo import cyclotomic_c, qint
-
-TABLE = a_table(6)
 
 
 def test_builtin_records():
@@ -47,7 +45,7 @@ def test_classical_figure_eight_sum():
 def test_generalized_specializes_to_classical():
     for K in (unknot(), figure_eight()):
         for n in range(0, 7):
-            assert generalized_jones(K, n, t1=1, t2=1, table=TABLE) \
+            assert generalized_jones(K, n, t1=1, t2=1) \
                 == classical_jones(K, n), (K.name, n)
 
 
@@ -64,7 +62,7 @@ def test_unknot_closed_form_t2_one():
 def test_routes_agree_on_knots():
     e = figure_eight()
     for n in range(1, 6):
-        base = generalized_jones(e, n, table=TABLE)
+        base = generalized_jones(e, n)
         assert generalized_jones(e, n, route="series") == base, n
         assert generalized_jones(e, n, t2=1, route="macdonald") \
             == base.substitute("t2", 1), n
@@ -82,23 +80,9 @@ def test_route_guards():
 def test_universal_eval_matches():
     for K in (unknot(), figure_eight()):
         for n in range(1, 7):
-            assert universal_eval(K, n, table=TABLE) \
-                == generalized_jones(K, n, table=TABLE), (K.name, n)
-        assert universal_eval(K, 4, t1=1, t2=1, table=TABLE) == classical_jones(K, 4)
-
-
-def test_tilde_v_small_classes():
-    t1 = tilde_v(1, TABLE)
-    assert t1.coeffs == {1: F.one()}
-    t2 = tilde_v(2, TABLE)
-    assert t2.coeff(2) == a_ratio(2)
-    assert t2.coeff(1) == a_ratio(2) - a_ratio(1)
-    # at t1 = t2 = 1 only [V_n] survives
-    t3 = tilde_v(3, TABLE)
-    for p in (1, 2):
-        spec = t3.coeff(p).substitute("t1", 1).substitute("t2", 1).reduced()
-        assert spec.is_zero, p
-    assert t3.coeff(3).substitute("t1", 1).substitute("t2", 1).reduced() == F.one()
+            assert universal_eval(K, n) \
+                == generalized_jones(K, n), (K.name, n)
+        assert universal_eval(K, 4, t1=1, t2=1) == classical_jones(K, 4)
 
 
 def test_sigma_trace_values():
@@ -145,3 +129,20 @@ def test_all_ones_flag_round_trip():
     assert K.habiro_at(9) == L.one()
     for n in range(1, 5):
         assert classical_jones(K, n) == classical_jones(figure_eight(), n), n
+
+
+@pytest.mark.parametrize("record", [
+    {"name": "b", "habiro": [[[True, 1]]], "all_ones": "false"},
+    {"name": "b", "habiro": [[[True, 1]]]},
+    {"name": "b", "habiro": [[[0, False]]]},
+    {"name": "b", "habiro": [[5]]},
+    {"name": "b", "habiro": 5},
+    [1, 2],
+])
+def test_loader_is_strict(record, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        knot_from_dict(record)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["jones", "--knot-file", str(path), "-n", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot load knot file: ")

@@ -1,0 +1,34 @@
+"""The benchmark under perfbench/ runs against this checkout.
+
+Its tracer wraps library functions by name and reads ``a_table``'s
+``cache_info``; renaming those breaks the per-layer metrics silently, so
+one traced CLI call checks that the counts it reads are still there.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run(*argv):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_self_check_passes():
+    proc = _run("perfbench/run.py", "--self-check")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_traced_cli_counts(tmp_path):
+    trace = tmp_path / "trace.json"
+    proc = _run("perfbench/worker.py", "cli", "--trace-file", str(trace), "--",
+                "jones", "--knot", "figure-eight", "-n", "3")
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(trace.read_text())["counts"]
+    assert counts["a_table_misses"] == 3      # rows 1..3, each built once
+    assert counts["coeff_sum_calls"] == 3

@@ -1,15 +1,14 @@
 import pytest
 
-from gjones.exactalg import LaurentPoly as L, QFraction
-from gjones.qcombo import (alpha_weight, cheb_eval, chebyshev, cyclotomic_c,
-                           eigen_product, gauss_qbinom, qbinom, qbrace, qint,
-                           qpochhammer)
+from gjones.exactalg import LaurentPoly as L, QFraction, qbrace_poly
+from gjones.qcombo import (alpha_weight, cyclotomic_c, eigen_product, gauss_qbinom,
+                           qbinom, qint, qpochhammer)
 
 
 def test_qbrace():
-    assert qbrace(2) == L.term(1, q=2) + L.term(-1, q=-2)
-    assert qbrace(0).is_zero
-    assert qbrace(-3) == -qbrace(3)
+    assert qbrace_poly(2) == L.term(1, q=2) + L.term(-1, q=-2)
+    assert qbrace_poly(0).is_zero
+    assert qbrace_poly(-3) == -qbrace_poly(3)
 
 
 def test_qint_values():
@@ -23,7 +22,7 @@ def test_qint_values():
 def test_qint_is_brace_ratio():
     for n in range(7):
         for b in (2, 4):
-            assert qint(n, b) * qbrace(b) == qbrace(b * n), (n, b)
+            assert qint(n, b) * qbrace_poly(b) == qbrace_poly(b * n), (n, b)
 
 
 def test_qbinom_edges_and_values():
@@ -77,28 +76,11 @@ def test_qpochhammer():
     assert qpochhammer(4, 4, 2) == (L.one() - L.var("q", 4)) * (L.one() - L.var("q", 8))
 
 
-def test_chebyshev_sequences():
-    assert chebyshev("T", 0).coeffs == (2,)
-    assert chebyshev("T", 1).coeffs == (0, 1)
-    assert chebyshev("T", 2).coeffs == (-2, 0, 1)
-    assert chebyshev("S", 0).coeffs == (1,)
-    assert chebyshev("S", 2).coeffs == (-1, 0, 1)
-    with pytest.raises(ValueError):
-        chebyshev("U", 1)
-
-
-def test_chebyshev_s_telescopes_braces():
-    z, zi = L.var("x"), L.var("x", -1)
-    for n in range(1, 13):
-        s = cheb_eval(chebyshev("S", n - 1), z + zi)
-        assert s * (z - zi) == L.var("x", n) - L.var("x", -n), n
-
-
 def test_cyclotomic_values():
     assert cyclotomic_c(1, 1) == L.one()
     for n in range(1, 9):
         assert cyclotomic_c(n, 1) == qint(n, 2)
-    assert cyclotomic_c(2, 2) == qbrace(4) * qbrace(6)
+    assert cyclotomic_c(2, 2) == qbrace_poly(4) * qbrace_poly(6)
     with pytest.raises(IndexError):
         cyclotomic_c(2, 3)
     with pytest.raises(IndexError):
@@ -111,7 +93,7 @@ def test_cyclotomic_integrality_wide():
         for i in range(1, n + 1):
             num = L.one()
             for p in range(n - i + 1, n + i):
-                num = num * qbrace(2 * p)
+                num = num * qbrace_poly(2 * p)
             r = QFraction(num, (2,)).reduced()
             assert r.den == (), (n, i)
             assert r.num == cyclotomic_c(n, i)
