@@ -13,14 +13,12 @@ x, xi = LaurentPoly.var("x"), LaurentPoly.var("x", -1)
 print("Three-term recurrence at beta = q^8, base = q^4")
 print("-----------------------------------------------")
 for n in range(4):
-    p = mac_p(n, 8, 4)
-    inside = ", ".join(f"x^{k}: {p.coeff(k)}" for k in p.support())
-    print(f"  p_{n}: {inside}")
+    print(f"  p_{n} = {mac_p(n, 8, 4)}")
 print()
 
 print("At beta = base = q^4 the family telescopes (Schur-type collapse):")
 for n in range(1, 6):
-    val = mac_p(n - 1, 4, 4).value()
+    val = mac_p(n - 1, 4, 4).as_poly()
     assert (x - xi) * val == LaurentPoly.var("x", n) - LaurentPoly.var("x", -n)
 print("  (x - x^-1) p_{n-1}(x; q^4 | q^4) == x^n - x^-n for n <= 5")
 print()

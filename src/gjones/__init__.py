@@ -22,13 +22,14 @@ from .qcombo import (alpha_weight, cyclotomic_c, eigen_product, gauss_qbinom, qb
 from .daha import (NonPolynomialResult, NotSkewSymmetric, UPoly, XFrac, act_basic,
                    base_vector, dunkl_pair, dunkl_pair_eval, dunkl_y, hecke_defect,
                    polyrep_act, t1_act, t3_act, transition_row)
-from .cyclo import (IntegralityViolation, a_ratio, a_table, coeff_det_series,
-                    coeff_series, coeff_sum, coeff_t2one, eigen_series)
-from .macdonald import (DegenerateRecurrence, MacPoly, genfun_matches, mac_p,
-                        renorm_factor, rogers_c, rogers_from_recurrence)
-from .knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
-                    classical_jones, figure_eight, generalized_jones, knot_from_dict,
-                    load_knot_file, sigma_trace, specialize, universal_eval, unknot)
+from .cyclo import (IntegralityViolation, RouteUnavailable, a_ratio, a_table,
+                    coeff_det_series, coeff_series, coeff_sum, coeff_t2one, coefficient,
+                    eigen_series, specialize)
+from .macdonald import (DegenerateRecurrence, genfun_matches, mac_p, renorm_factor,
+                        rogers_c, rogers_from_recurrence)
+from .knots import (KnotRecord, MissingHabiro, builtin_knot, classical_jones,
+                    figure_eight, generalized_jones, knot_from_dict, load_knot_file,
+                    sigma_trace, universal_eval, unknot)
 
 __version__ = "0.1.0"
 

@@ -18,11 +18,10 @@ import argparse
 import json
 import sys
 
-from .cyclo import (IntegralityViolation, _series_coeff_poly, a_table, coeff_det_series,
-                    coeff_series, coeff_sum, coeff_t2one)
+from .cyclo import IntegralityViolation, RouteUnavailable, a_table, coefficient
 from .exactalg import LaurentPoly, QFraction
-from .knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
-                    generalized_jones, load_knot_file, specialize)
+from .knots import (KnotRecord, MissingHabiro, builtin_knot, generalized_jones,
+                    load_knot_file)
 from .qcombo import cyclotomic_c
 from .verify import SUITES, CheckFailed, run_suite
 
@@ -109,22 +108,11 @@ def _cmd_coeff(args) -> str:
     t2 = _parse_tspec(args.t2, "t2")
     if args.classic:
         return _render_poly(cyclotomic_c(n, i), args.format)
-    order = args.order if args.order is not None else n
-    if order < n:
-        raise CLIError(f"--order {order} is below the requested coefficient n={n}")
-    if args.route == "sum":
-        poly = coeff_sum(n, i)
-    elif args.route == "series":
-        poly = _series_coeff_poly(coeff_series(i, order), n, i)
-    elif args.route == "det":
-        if i > 3:
-            raise CLIError("the det route is limited to i <= 3")
-        poly = _series_coeff_poly(coeff_det_series(i, order), n, i)
-    else:
-        if t2 != 1:
-            raise CLIError("the macdonald route needs --t2 1")
-        poly = coeff_t2one(n, i)
-    return _render_poly(specialize(poly, t1, t2), args.format)
+    try:
+        poly = coefficient(n, i, args.route, t1, t2, args.order)
+    except RouteUnavailable as exc:
+        raise CLIError(str(exc)) from None
+    return _render_poly(poly, args.format)
 
 
 def _cmd_jones(args) -> str:
@@ -167,7 +155,7 @@ def _cmd_table(args) -> str:
                     poly = cyclotomic_c(n, i)
                     label = "c"
                 else:
-                    poly = specialize(coeff_sum(n, i), t1, t2)
+                    poly = coefficient(n, i, t1=t1, t2=t2)
                     label = "chat"
                 if args.format == "json":
                     rows.append({"n": n, "i": i, "terms": poly.json_terms()})
@@ -187,7 +175,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.command == "verify":
-            run_suite(args.suite, args.nmax, report=lambda line: print(line))
+            try:
+                run_suite(args.suite, args.nmax, report=lambda line: print(line))
+            except ValueError as exc:   # bounds are checked before any check runs
+                raise CLIError(str(exc)) from None
             return 0
         if args.command == "coeff":
             out = _cmd_coeff(args)

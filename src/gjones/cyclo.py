@@ -15,6 +15,9 @@ Generalized cyclotomic coefficients are then available by four routes:
 * ``coeff_series``     lam-series from a lower-triangular solve;
 * ``coeff_det_series`` same series from a small bordered determinant;
 * ``coeff_t2one``      closed form at t2 = 1 via Rogers polynomials.
+
+``coefficient`` is the one entry point that picks a route, checks that it
+applies, specializes t1 / t2 and insists on an integer Laurent polynomial.
 """
 
 from __future__ import annotations
@@ -30,6 +33,48 @@ from .qcombo import alpha_weight, cyclotomic_c, qint
 
 class IntegralityViolation(ArithmeticError):
     """A generalized coefficient failed to reduce to a Laurent polynomial."""
+
+
+class RouteUnavailable(ValueError):
+    """The requested evaluation route does not apply to these parameters."""
+
+
+ROUTES = ("sum", "series", "det", "macdonald")
+
+
+def integral(frac: QFraction, what: str) -> LaurentPoly:
+    """``frac`` as an integer Laurent polynomial.
+
+    Every generalized coefficient and knot polynomial must come out that
+    way; brace factors that do not cancel signal a bug and raise
+    IntegralityViolation naming ``what``.
+    """
+    try:
+        return frac.as_poly()
+    except ValueError as exc:
+        raise IntegralityViolation(f"{what} kept {exc}") from exc
+
+
+def _sets_one(value, name: str) -> bool:
+    """Whether a specialization argument sets its variable to 1.
+
+    Only the int 1 does and only None keeps the formal variable; anything
+    else, bools included, raises ValueError.
+    """
+    if value is None:
+        return False
+    if type(value) is int and value == 1:
+        return True
+    raise ValueError(f"{name} accepts only 1 or the formal variable (None), got {value!r}")
+
+
+def specialize(p: LaurentPoly, t1=None, t2=None) -> LaurentPoly:
+    """Set t1 and/or t2 to 1 where the argument is the int 1; None keeps the variable."""
+    if _sets_one(t1, "t1"):
+        p = p.substitute("t1", 1)
+    if _sets_one(t2, "t2"):
+        p = p.substitute("t2", 1)
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -100,10 +145,7 @@ def coeff_sum(n: int, i: int) -> LaurentPoly:
             continue
         term = a * cyclotomic_c(p, i)
         parts.append(term if (n + p) % 2 == 0 else -term)
-    try:
-        return qfrac_sum(parts).as_poly()
-    except ValueError as exc:
-        raise IntegralityViolation(f"coefficient (n={n}, i={i}) kept {exc}") from exc
+    return integral(qfrac_sum(parts), f"coefficient (n={n}, i={i})")
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +282,51 @@ def coeff_t2one(n: int, i: int) -> LaurentPoly:
     acc = QFraction(cyclotomic_c(i, i) * rog * LaurentPoly.var("q", -2 * (n - i) * (i - 1)))
     for k in range(2, i + 1):
         acc = acc * a_ratio(k).substitute("t2", 1)
-    try:
-        return acc.as_poly()
-    except ValueError as exc:
-        raise IntegralityViolation(f"t2=1 coefficient (n={n}, i={i}) kept {exc}") from exc
+    return integral(acc, f"t2=1 coefficient (n={n}, i={i})")
 
 
-def _series_coeff_poly(series: TruncatedSeries, n: int, i: int) -> LaurentPoly:
-    try:
-        return series.coeff(n).as_poly()
-    except ValueError as exc:
-        raise IntegralityViolation(f"series coefficient (n={n}, i={i}) kept {exc}") from exc
+# ---------------------------------------------------------------------------
+# one entry point
+# ---------------------------------------------------------------------------
+
+def check_route(route: str, t1=None, t2=None, i: int = 1) -> None:
+    """Raise unless ``route`` can give the i-th coefficients at this specialization.
+
+    ValueError for a specialization other than None or the int 1;
+    RouteUnavailable for an unknown route, the det route past i = 3 and the
+    macdonald route without t2 = 1.
+    """
+    _sets_one(t1, "t1")
+    t2_one = _sets_one(t2, "t2")
+    if route not in ROUTES:
+        raise RouteUnavailable(f"unknown route {route!r}")
+    if route == "det" and i > 3:
+        raise RouteUnavailable("the det route is limited to i <= 3")
+    if route == "macdonald" and not t2_one:
+        raise RouteUnavailable("the macdonald route needs t2 = 1")
+
+
+def coefficient(n: int, i: int, route: str = "sum", t1=None, t2=None,
+                order: int | None = None) -> LaurentPoly:
+    """The generalized cyclotomic coefficient chat[n][i-1](q, t1, t2), 1 <= i <= n.
+
+    ``route`` is one of ROUTES; every route gives the same polynomial where
+    it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
+    formal variable) or the int 1.  ``order`` truncates the series of the
+    series and det routes and defaults to n; below n no route can answer.
+    """
+    check_route(route, t1, t2, i)
+    if i < 1 or n < i:
+        raise IndexError(f"coefficient out of range: n={n}, i={i}")
+    if order is None:
+        order = n
+    elif order < n:
+        raise RouteUnavailable(f"order {order} is below the requested coefficient n={n}")
+    if route == "sum":
+        poly = coeff_sum(n, i)
+    elif route == "macdonald":
+        poly = coeff_t2one(n, i)
+    else:
+        series = coeff_series(i, order) if route == "series" else coeff_det_series(i, order)
+        poly = integral(series.coeff(n), f"{route} coefficient (n={n}, i={i})")
+    return specialize(poly, t1, t2)

@@ -235,7 +235,13 @@ class LaurentPoly:
         return self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
+        # a constant hashes as its int, so hashing agrees with == on ints
+        t = self._t
+        if not t:
+            return 0
+        if len(t) == 1 and _OFFSET in t:
+            return hash(t[_OFFSET])
+        return hash(frozenset(t.items()))
 
     # -- substitution -------------------------------------------------
 

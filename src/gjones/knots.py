@@ -20,18 +20,14 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import (IntegralityViolation, _series_coeff_poly, a_table, coeff_series,
-                    coeff_sum, coeff_t2one)
+from .cyclo import (RouteUnavailable, a_table, check_route, coefficient, integral,
+                    specialize)
 from .exactalg import LaurentPoly, qfrac_sum
 from .qcombo import cyclotomic_c, qint
 
 
 class MissingHabiro(LookupError):
     """The knot's expansion data does not reach the requested color."""
-
-
-class RouteUnavailable(ValueError):
-    """The requested evaluation route does not apply to these parameters."""
 
 
 @dataclass(frozen=True)
@@ -134,50 +130,27 @@ def classical_jones(knot: KnotRecord, n: int) -> LaurentPoly:
     return out
 
 
-def specialize(p: LaurentPoly, t1, t2) -> LaurentPoly:
-    """Set t1 and/or t2 to 1 where the argument is the int 1; None keeps the variable."""
-    if t1 == 1:
-        p = p.substitute("t1", 1)
-    if t2 == 1:
-        p = p.substitute("t2", 1)
-    return p
-
-
 def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
                       route: str = "sum") -> LaurentPoly:
     """The two-parameter deformation sum_i chat[n][i-1](q, t1, t2) H_{i-1}(q).
 
     ``t1``/``t2`` are either None (keep the formal variable) or the int 1.
-    Routes: "sum" (default), "series", and "macdonald" (t2 = 1 only).
-    The result always reduces to an integer Laurent polynomial; at
-    t1 = t2 = 1 it equals the classical polynomial.
+    Routes: "sum" (default), "series", and "macdonald" (t2 = 1 only); the
+    det route stops at i = 3 and is refused here.  The result always
+    reduces to an integer Laurent polynomial; at t1 = t2 = 1 it equals the
+    classical polynomial.
     """
     if n < 0:
         raise ValueError("color n must be >= 0")
-    if t1 not in (None, 1) or t2 not in (None, 1):
-        raise ValueError("specializations accept only 1 or the formal variable")
-    if route not in ("sum", "series", "macdonald"):
-        raise RouteUnavailable(f"unknown route {route!r}")
-    if route == "macdonald" and t2 != 1:
-        raise RouteUnavailable("the macdonald route needs t2 = 1")
-    if n == 0:
-        return LaurentPoly.zero()
-    if route == "series":
-        cols = {i: coeff_series(i, n) for i in range(1, n + 1)}
-
-        def chat(nn: int, i: int) -> LaurentPoly:
-            return _series_coeff_poly(cols[i], nn, i)
-    elif route == "macdonald":
-        chat = coeff_t2one
-    else:
-        chat = coeff_sum
-
+    if route == "det":
+        raise RouteUnavailable("the det route does not reach knot polynomials")
+    check_route(route, t1, t2)
     out = LaurentPoly.zero()
     for i in range(1, n + 1):
         h = knot.habiro_at(i - 1)
         if not h.is_zero:
-            out = out + chat(n, i) * h
-    return specialize(out, t1, t2)
+            out = out + coefficient(n, i, route, t1, t2) * h
+    return out
 
 
 def sigma_trace(k: int, n: int) -> LaurentPoly:
@@ -212,14 +185,11 @@ def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("color n must be >= 0")
+    check_route("sum", t1, t2)
     if n == 0:
         return LaurentPoly.zero()
     parts = []
     for p, a in a_table(n).items():
         term = a * classical_jones(knot, p)
         parts.append(term if (n + p) % 2 == 0 else -term)
-    try:
-        poly = qfrac_sum(parts).as_poly()
-    except ValueError as exc:
-        raise IntegralityViolation(f"universal evaluation at n={n}: {exc}") from exc
-    return specialize(poly, t1, t2)
+    return specialize(integral(qfrac_sum(parts), f"universal evaluation at n={n}"), t1, t2)

@@ -16,7 +16,6 @@ expansion, integer coefficients in Z[q^(+-4)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exactalg import LaurentPoly, QFraction, qbrace_poly
@@ -25,32 +24,6 @@ from .qcombo import gauss_qbinom, qpochhammer
 
 class DegenerateRecurrence(ArithmeticError):
     """A recurrence coefficient denominator vanished identically."""
-
-
-@dataclass(frozen=True, eq=False)
-class MacPoly:
-    """Symmetric Laurent polynomial in x with QFraction coefficients."""
-
-    n: int
-    beta_exp: int
-    base_exp: int
-    coeffs: dict[int, QFraction] = field(repr=False)
-
-    def coeff(self, k: int) -> QFraction:
-        return self.coeffs.get(k, QFraction.zero())
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def value(self) -> LaurentPoly:
-        """The polynomial itself when every coefficient reduces to a poly."""
-        out = LaurentPoly.zero()
-        for k, c in self.coeffs.items():
-            out = out + c.as_poly() * LaurentPoly.var("x", k)
-        return out
-
-    def scaled(self, c: QFraction) -> dict[int, QFraction]:
-        return {k: v * c for k, v in self.coeffs.items()}
 
 
 def _b_coeff(n: int, beta_exp: int, base_exp: int) -> QFraction:
@@ -77,36 +50,21 @@ def _b_coeff(n: int, beta_exp: int, base_exp: int) -> QFraction:
 
 
 @lru_cache(maxsize=None)
-def mac_p(n: int, beta_exp: int, base_exp: int) -> MacPoly:
-    """p_n(x; q^beta_exp | q^base_exp) from the three-term recurrence."""
+def mac_p(n: int, beta_exp: int, base_exp: int) -> QFraction:
+    """p_n(x; q^beta_exp | q^base_exp) from the three-term recurrence, as a
+    brace fraction whose numerator carries the variable x."""
     if n < 0:
         raise ValueError("mac_p requires n >= 0")
     if beta_exp % 2 or base_exp % 2:
         raise ValueError("beta and base exponents must be even integers")
     if n == 0:
-        return MacPoly(0, beta_exp, base_exp, {0: QFraction.one()})
+        return QFraction.one()
+    x_sum = LaurentPoly.var("x") + LaurentPoly.var("x", -1)
     if n == 1:
-        return MacPoly(1, beta_exp, base_exp, {1: QFraction.one(), -1: QFraction.one()})
+        return QFraction(x_sum)
     pm1 = mac_p(n - 1, beta_exp, base_exp)
     pm2 = mac_p(n - 2, beta_exp, base_exp)
-    b = _b_coeff(n - 1, beta_exp, base_exp)
-    out: dict[int, QFraction] = {}
-
-    def add(k: int, c: QFraction) -> None:
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-
-    for k, c in pm1.coeffs.items():
-        add(k + 1, c)
-        add(k - 1, c)
-    for k, c in pm2.coeffs.items():
-        add(k, -(c * b))
-    out = {k: c.reduced() for k, c in out.items()}
-    return MacPoly(n, beta_exp, base_exp, out)
+    return (pm1 * x_sum - pm2 * _b_coeff(n - 1, beta_exp, base_exp)).reduced()
 
 
 @lru_cache(maxsize=None)
@@ -145,9 +103,9 @@ def renorm_factor(n: int, i: int) -> QFraction:
     return QFraction(num * LaurentPoly.term(sign, q=shift), tuple(den))
 
 
-def rogers_from_recurrence(n: int, i: int) -> dict[int, QFraction]:
+def rogers_from_recurrence(n: int, i: int) -> QFraction:
     """The renormalized polynomial assembled from the recurrence route."""
-    return mac_p(n, 4 * i, 4).scaled(renorm_factor(n, i))
+    return mac_p(n, 4 * i, 4) * renorm_factor(n, i)
 
 
 def genfun_matches(i: int, order: int) -> bool:

@@ -33,29 +33,25 @@ def qint(n: int, base: int) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
 def qbinom(n: int, m: int, base: int) -> LaurentPoly:
     """Balanced q-binomial coefficient in base ``base``, 0 <= m <= n.
 
-    Computed by the q-Pascal recurrence, so no division is ever needed:
-    [n,m] = q^(b*m) [n-1,m] + q^(-b*(n-m)) [n-1,m-1].
+    The one-sided Gaussian binomial in q^(2*base), centred by the monomial
+    q^(-base*m*(n-m)), so no division is ever needed.
     """
     _check_base(base)
     if m < 0 or m > n:
         raise IndexError(f"qbinom out of range: n={n}, m={m}")
-    if m == 0 or m == n:
-        return LaurentPoly.one()
-    left = qbinom(n - 1, m, base) * LaurentPoly.var("q", base * m)
-    right = qbinom(n - 1, m - 1, base) * LaurentPoly.var("q", -base * (n - m))
-    return left + right
+    return gauss_qbinom(n, m, 2 * base) * LaurentPoly.var("q", -base * m * (n - m))
 
 
 @lru_cache(maxsize=None)
 def gauss_qbinom(n: int, m: int, base: int) -> LaurentPoly:
     """One-sided Gaussian binomial in the variable Q = q^base.
 
-    Equals (Q^base-Pochhammer quotient) with nonnegative powers only;
-    related to the balanced form by q^(base*m*(n-m)) * qbinom(n, m, base).
+    Equals the (Q; Q)-Pochhammer quotient, with nonnegative powers only;
+    for even base/2 it is the balanced form shifted up:
+    q^(base*m*(n-m)/2) * qbinom(n, m, base/2).
     """
     if base <= 0:
         raise ValueError("base must be a positive exponent")

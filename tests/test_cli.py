@@ -1,6 +1,11 @@
 import json
+import pathlib
+
+import pytest
 
 from gjones.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, argv):
@@ -13,6 +18,26 @@ def test_coeff_classic_golden(capsys):
     code, out, err = run(capsys, ["coeff", "--classic", "-n", "2", "-i", "2"])
     assert code == 0 and err == ""
     assert out.strip() == "q^-10 - q^-2 - q^2 + q^10"
+
+
+# Exact stdout pinned from a known-good build: route-against-route agreement
+# alone would pass a dispatcher bug that changed every route alike.
+@pytest.mark.parametrize("argv, golden", [
+    (["coeff", "-n", "4", "-i", "2", "--route", "sum"], "coeff_n4_i2"),
+    (["coeff", "-n", "4", "-i", "2", "--route", "series"], "coeff_n4_i2"),
+    (["coeff", "-n", "4", "-i", "2", "--route", "det"], "coeff_n4_i2"),
+    (["coeff", "-n", "4", "-i", "2", "--route", "macdonald", "--t2", "1"],
+     "coeff_n4_i2_t2one"),
+    (["coeff", "-n", "4", "-i", "2", "--t1", "1", "--format", "latex"],
+     "coeff_n4_i2_t1one_latex"),
+    (["jones", "--knot", "figure-eight", "-n", "4", "--route", "series", "--format", "json"],
+     "jones_figure_eight_n4_json"),
+    (["table", "-n", "3", "--what", "a"], "table_n3_a"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_golden(capsys, argv, golden):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{golden}.txt").read_text()
 
 
 def test_jones_unknot_closed_form(capsys):
@@ -104,3 +129,12 @@ def test_verify_suite_routes(capsys):
     assert "ok routes-series" in out
     assert "ok routes-det" in out
     assert "ok routes-macdonald" in out
+
+
+@pytest.mark.parametrize("suite", ["all", "daha", "routes"])
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_verify_rejects_bounds_below_one(capsys, suite, nmax):
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--nmax", nmax])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "nmax" in err

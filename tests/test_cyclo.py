@@ -1,9 +1,9 @@
 import pytest
 
 from gjones import daha
-from gjones.cyclo import (a_ratio, a_table, b_entry,
+from gjones.cyclo import (ROUTES, RouteUnavailable, a_ratio, a_table, b_entry,
                           coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
-                          eigen_series, gamma_lam)
+                          coefficient, eigen_series, gamma_lam)
 from gjones.exactalg import LaurentPoly as L, QFraction as F, qbrace_poly
 from gjones.knots import figure_eight, generalized_jones, universal_eval
 from gjones.qcombo import cyclotomic_c
@@ -174,6 +174,28 @@ def test_det_route_matches_series():
 def test_det_route_cap():
     with pytest.raises(ValueError):
         coeff_det_series(4, 6)
+
+
+@pytest.mark.parametrize("n, i, kwargs, exc", [
+    (5, 4, {"route": "det"}, RouteUnavailable),
+    (3, 2, {"route": "macdonald"}, RouteUnavailable),
+    (3, 2, {"route": "macdonald", "t2": True}, ValueError),
+    (3, 2, {"route": "nope"}, RouteUnavailable),
+    (4, 2, {"route": "series", "order": 3}, RouteUnavailable),
+    (4, 2, {"route": "sum", "order": 3}, RouteUnavailable),
+    (3, 4, {"route": "series"}, IndexError),
+    (3, 0, {"route": "det"}, IndexError),
+])
+def test_coefficient_preconditions(n, i, kwargs, exc):
+    with pytest.raises(exc):
+        coefficient(n, i, **kwargs)
+
+
+def test_coefficient_routes_agree_at_t2_one():
+    for n, i in ((3, 1), (4, 2), (4, 3)):
+        want = spec11(coeff_sum(n, i))
+        for route in ROUTES:
+            assert coefficient(n, i, route, t1=1, t2=1) == want, (n, i, route)
 
 
 def test_det_t2one_factorized_form():

@@ -149,6 +149,8 @@ def test_hash_agrees_with_eq():
     assert a == b and a.reduced().den != b.den
     assert hash(a) == hash(b) and len({a, b}) == 1
     assert QFraction(5) == 5 and hash(QFraction(5)) == hash(5)
+    assert L.const(5) == 5 and hash(L.const(5)) == hash(5) and len({L.const(5), 5}) == 1
+    assert L.zero() == 0 and hash(L.zero()) == hash(0) and len({L.zero(), 0}) == 1
 
 
 def test_fraction_arithmetic_common_denominator():

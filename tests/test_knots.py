@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gjones import specialize
 from gjones.cli import main
 from gjones.exactalg import LaurentPoly as L
 from gjones.knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
@@ -75,6 +76,16 @@ def test_route_guards():
         generalized_jones(unknot(), 2, route="bogus")
     with pytest.raises(ValueError):
         generalized_jones(unknot(), 2, t1=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: universal_eval(unknot(), 2, t1=2),
+    lambda: generalized_jones(unknot(), 2, t1=True),
+    lambda: specialize(L.var("t1"), "1", None),
+], ids=["universal_eval-t1=2", "generalized_jones-t1=True", "specialize-t1='1'"])
+def test_specialization_rejects_anything_but_one(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_universal_eval_matches():

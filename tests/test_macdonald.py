@@ -7,10 +7,8 @@ from gjones.macdonald import _b_coeff
 
 
 def test_seed_polynomials():
-    p0 = mac_p(0, 8, 4)
-    assert p0.coeffs == {0: F.one()}
-    p1 = mac_p(1, 8, 4)
-    assert p1.coeff(1) == F.one() and p1.coeff(-1) == F.one()
+    assert mac_p(0, 8, 4) == F.one()
+    assert mac_p(1, 8, 4) == F(L.var("x") + L.var("x", -1))
 
 
 def test_b1_factorized_identity():
@@ -41,8 +39,7 @@ def test_mac_p_requires_even_exponents():
 def test_symmetry_under_inversion():
     for n in range(7):
         p = mac_p(n, 8, 4)
-        for k in p.support():
-            assert p.coeff(k) == p.coeff(-k), (n, k)
+        assert p.substitute("x", L.var("x", -1)) == p, n
         c = rogers_c(n, 2)
         assert c.substitute("x", L.var("x", -1)) == c, n
 
@@ -50,7 +47,7 @@ def test_symmetry_under_inversion():
 def test_schur_collapse():
     x, xi = L.var("x"), L.var("x", -1)
     for n in range(1, 11):
-        val = mac_p(n - 1, 4, 4).value()
+        val = mac_p(n - 1, 4, 4).as_poly()
         assert (x - xi) * val == L.var("x", n) - L.var("x", -n), n
 
 
@@ -73,19 +70,7 @@ def test_rogers_coefficients_in_q4():
 def test_renormalization_identity():
     for i in range(1, 5):
         for n in range(7):
-            rec = rogers_from_recurrence(n, i)
-            expl = rogers_c(n, i)
-            # compare coefficient by coefficient in x
-            from gjones.exactalg import VARS
-            xi = VARS.index("x")
-            expl_coeffs = {}
-            for mono, c in expl.terms_sorted():
-                adj = list(mono)
-                adj[xi] = 0
-                expl_coeffs.setdefault(mono[xi], L.zero())
-                expl_coeffs[mono[xi]] = expl_coeffs[mono[xi]] + L({tuple(adj): c})
-            for k in set(rec) | set(expl_coeffs):
-                assert rec.get(k, F(0)) == F(expl_coeffs.get(k, L.zero())), (n, i, k)
+            assert rogers_from_recurrence(n, i) == F(rogers_c(n, i)), (n, i)
 
 
 def test_renorm_factor_small():
