@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .cyclo import IntegralityViolation, RouteUnavailable, a_table, coefficient
+from .cyclo import IntegralityViolation, RouteUnavailable, a_table, check_route, coefficient
 from .exactalg import LaurentPoly, QFraction
 from .knots import (KnotRecord, MissingHabiro, builtin_knot, generalized_jones,
                     load_knot_file)
@@ -55,7 +55,7 @@ def _add_common(p: argparse.ArgumentParser, *, order: bool = True) -> None:
     p.add_argument("--format", default="text", choices=("text", "json", "latex"))
     if order:
         p.add_argument("--order", type=int, default=None,
-                       help="series truncation order (series/det routes)")
+                       help="series truncation order, at least n (series/det routes)")
 
 
 def build_parser() -> _Parser:
@@ -106,13 +106,17 @@ def _cmd_coeff(args) -> str:
         raise CLIError(f"need 1 <= i <= n, got n={n}, i={i}")
     t1 = _parse_tspec(args.t1, "t1")
     t2 = _parse_tspec(args.t2, "t2")
-    if args.classic:
-        return _render_poly(cyclotomic_c(n, i), args.format)
+    # flags are checked alike with or without --classic; the order of a
+    # series sets only its cost, since lam^n comes out the same at any order >= n
     try:
-        poly = coefficient(n, i, args.route, t1, t2, args.order)
+        check_route(args.route, t1, t2, i)
     except RouteUnavailable as exc:
         raise CLIError(str(exc)) from None
-    return _render_poly(poly, args.format)
+    if args.order is not None and args.order < n:
+        raise CLIError(f"order {args.order} is below the requested coefficient n={n}")
+    if args.classic:
+        return _render_poly(cyclotomic_c(n, i), args.format)
+    return _render_poly(coefficient(n, i, args.route, t1, t2), args.format)
 
 
 def _cmd_jones(args) -> str:

@@ -81,17 +81,13 @@ def specialize(p: LaurentPoly, t1=None, t2=None) -> LaurentPoly:
 def a_ratio(p: int) -> QFraction:
     """A(p) = (q^(2p-1) t1^-1 - q^(1-2p) t1 + t2 - t2^-1) / {2p-1}.
 
-    Defined for every integer p; the brace index 2p-1 is never zero, and
-    for p <= 0 the sign is folded into the numerator so the stored brace
-    stays positive.  At t1 = t2 = 1 the value is 1 for all p.
+    Defined for every integer p; the brace index 2p-1 is never zero.  At
+    t1 = t2 = 1 the value is 1 for all p.
     """
     num = (LaurentPoly.term(1, q=2 * p - 1, t1=-1)
            - LaurentPoly.term(1, q=1 - 2 * p, t1=1)
            + LaurentPoly.var("t2") - LaurentPoly.var("t2", -1))
-    m = 2 * p - 1
-    if m < 0:
-        return QFraction(-num, (-m,))
-    return QFraction(num, (m,))
+    return QFraction(num, (2 * p - 1,))
 
 
 @lru_cache(maxsize=None)
@@ -110,20 +106,16 @@ def a_table(n: int) -> Mapping[int, QFraction]:
     below = a_table(n - 2) if n > 2 else {}
     cur: dict[int, QFraction] = {}
     for p in range(1, n + 1):
-        acc = QFraction.zero()
-        left = prev.get(p - 1)
-        if left is not None:
-            acc = acc + a_ratio(p) * left
-        mid = prev.get(p)
-        if mid is not None:
-            acc = acc + (a_ratio(p) - a_ratio(p + 1)) * mid
-        right = prev.get(p + 1)
-        if right is not None:
-            acc = acc + a_ratio(-p) * right
-        low = below.get(p)
-        if low is not None:
-            acc = acc - low
-        acc = acc.reduced()
+        terms = []
+        if p - 1 in prev:
+            terms.append(a_ratio(p) * prev[p - 1])
+        if p in prev:
+            terms.append((a_ratio(p) - a_ratio(p + 1)) * prev[p])
+        if p + 1 in prev:
+            terms.append(a_ratio(-p) * prev[p + 1])
+        if p in below:
+            terms.append(-below[p])
+        acc = qfrac_sum(terms).reduced()
         if not acc.is_zero:
             cur[p] = acc
     return MappingProxyType(cur)
@@ -306,27 +298,22 @@ def check_route(route: str, t1=None, t2=None, i: int = 1) -> None:
         raise RouteUnavailable("the macdonald route needs t2 = 1")
 
 
-def coefficient(n: int, i: int, route: str = "sum", t1=None, t2=None,
-                order: int | None = None) -> LaurentPoly:
+def coefficient(n: int, i: int, route: str = "sum", t1=None, t2=None) -> LaurentPoly:
     """The generalized cyclotomic coefficient chat[n][i-1](q, t1, t2), 1 <= i <= n.
 
     ``route`` is one of ROUTES; every route gives the same polynomial where
     it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
-    formal variable) or the int 1.  ``order`` truncates the series of the
-    series and det routes and defaults to n; below n no route can answer.
+    formal variable) or the int 1.  The series and det routes truncate
+    their series at order n, the cheapest order that reaches lam^n.
     """
     check_route(route, t1, t2, i)
     if i < 1 or n < i:
         raise IndexError(f"coefficient out of range: n={n}, i={i}")
-    if order is None:
-        order = n
-    elif order < n:
-        raise RouteUnavailable(f"order {order} is below the requested coefficient n={n}")
     if route == "sum":
         poly = coeff_sum(n, i)
     elif route == "macdonald":
         poly = coeff_t2one(n, i)
     else:
-        series = coeff_series(i, order) if route == "series" else coeff_det_series(i, order)
+        series = coeff_series(i, n) if route == "series" else coeff_det_series(i, n)
         poly = integral(series.coeff(n), f"{route} coefficient (n={n}, i={i})")
     return specialize(poly, t1, t2)

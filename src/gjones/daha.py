@@ -140,14 +140,9 @@ def a_scalar(k: int) -> QFraction:
     """The X-eigenvalue scalar of the Dunkl correction term at U^k.
 
     Evaluating (q tbar1 X^-1 + tbar2)/(q X^-1 - q^-1 X) at X = -q^(2k)
-    gives (tbar2 - tbar1 q^(1-2k)) / {2k-1}; the sign is absorbed so the
-    stored brace index is positive.
+    gives (tbar2 - tbar1 q^(1-2k)) / {2k-1}.
     """
-    num = _TBAR2 - _TBAR1 * LaurentPoly.var("q", 1 - 2 * k)
-    m = 2 * k - 1
-    if m < 0:
-        return QFraction(-num, (-m,))
-    return QFraction(num, (m,))
+    return QFraction(_TBAR2 - _TBAR1 * LaurentPoly.var("q", 1 - 2 * k), (2 * k - 1,))
 
 
 def dunkl_y(f: UPoly, inverse: bool = False) -> UPoly:

@@ -25,12 +25,13 @@ Monomials are packed into a single integer key, one 20-bit biased field
 per variable with q in the most significant position, so that monomial
 multiplication is one integer addition and sorting keys numerically gives
 the canonical term order (ascending lexicographic on the exponents of
-q, t1, t2, ..., module variable).
+q, t1, t2, ..., module variable).  Each polynomial carries an upper bound
+on its largest |exponent|; an operation whose result could leave the
+field raises OverflowError instead of carrying into the next variable.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -66,15 +67,18 @@ def _unpack(key: int) -> tuple[int, ...]:
     return tuple(((key >> s) & _MASK) - _BIAS for s in _SHIFTS)
 
 
-def _mono_key(**exps: int) -> int:
+def _mono_key(**exps: int) -> tuple[int, int]:
+    """The packed key of a monomial and its largest |exponent|."""
     key = _OFFSET
+    bound = 0
     for name, e in exps.items():
         if name not in _VIDX:
             raise ValueError(f"unknown variable {name!r}; allowed: {', '.join(VARS)}")
         if abs(e) >= _EXP_LIMIT:
             raise ValueError(f"exponent {e} out of supported range")
+        bound = max(bound, abs(e))
         key += e << _SHIFTS[_VIDX[name]]
-    return key
+    return key, bound
 
 
 class LaurentPoly:
@@ -82,41 +86,44 @@ class LaurentPoly:
 
     The public face of a term is a tuple of exponents, one slot per
     variable in ``VARS``; internally terms are keyed by packed integers.
+    ``_e`` bounds every |exponent| of every term from above.
     """
 
-    __slots__ = ("_t",)
+    __slots__ = ("_t", "_e")
 
     def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
-        self._t: dict[int, int] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self._t[_pack(mono)] = c
+        terms = {mono: c for mono, c in (terms or {}).items() if c}
+        self._e = max((abs(e) for mono in terms for e in mono), default=0)
+        if self._e >= _EXP_LIMIT:
+            raise ValueError(f"exponent of magnitude {self._e} out of supported range")
+        self._t: dict[int, int] = {_pack(mono): c for mono, c in terms.items()}
 
     @classmethod
-    def _raw(cls, packed: dict[int, int]) -> LaurentPoly:
+    def _raw(cls, packed: dict[int, int], e: int) -> LaurentPoly:
         p = cls.__new__(cls)
         p._t = packed
+        p._e = e
         return p
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls._raw({})
+        return cls._raw({}, 0)
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls._raw({_OFFSET: 1})
+        return cls._raw({_OFFSET: 1}, 0)
 
     @classmethod
     def const(cls, c: int) -> LaurentPoly:
-        return cls._raw({_OFFSET: c} if c else {})
+        return cls._raw({_OFFSET: c} if c else {}, 0)
 
     @classmethod
     def term(cls, coeff: int, **exps: int) -> LaurentPoly:
         """Single term ``coeff * prod(var^exp)``, e.g. ``term(-3, q=2, t1=-1)``."""
-        return cls._raw({_mono_key(**exps): coeff} if coeff else {})
+        key, bound = _mono_key(**exps)
+        return cls._raw({key: coeff} if coeff else {}, bound)
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> LaurentPoly:
@@ -136,7 +143,7 @@ class LaurentPoly:
         return [(_unpack(k), self._t[k]) for k in sorted(self._t)]
 
     def coeff(self, **exps: int) -> int:
-        return self._t.get(_mono_key(**exps), 0)
+        return self._t.get(_mono_key(**exps)[0], 0)
 
     def as_single_term(self) -> tuple[tuple[int, ...], int]:
         if len(self._t) != 1:
@@ -161,10 +168,10 @@ class LaurentPoly:
                 out[k] = s
             else:
                 del out[k]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(out, self._e if self._e > other._e else other._e)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._raw({k: -c for k, c in self._t.items()})
+        return LaurentPoly._raw({k: -c for k, c in self._t.items()}, self._e)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -179,18 +186,21 @@ class LaurentPoly:
                 out[k] = s
             else:
                 del out[k]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(out, self._e if self._e > other._e else other._e)
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             if other == 0:
-                return LaurentPoly._raw({})
-            return LaurentPoly._raw({k: c * other for k, c in self._t.items()})
+                return LaurentPoly._raw({}, 0)
+            return LaurentPoly._raw({k: c * other for k, c in self._t.items()}, self._e)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._t, other._t
         if not a or not b:
-            return LaurentPoly._raw({})
+            return LaurentPoly._raw({}, 0)
+        e = self._e + other._e
+        if e >= _BIAS:
+            raise OverflowError(f"exponents up to {e} exceed the supported range")
         if len(a) > len(b):
             a, b = b, a
         out: dict[int, int] = {}
@@ -206,7 +216,7 @@ class LaurentPoly:
                     out[k] = s
                 else:
                     del out[k]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(out, e)
 
     __rmul__ = __mul__
 
@@ -261,6 +271,10 @@ class LaurentPoly:
             raise ValueError("substitution image must have coefficient +1 or -1")
         delta = ikey - _OFFSET
         sh = _SHIFTS[_VIDX[name]]
+        # each exponent moves by at most (exponent of name) * (largest image exponent)
+        bound = self._e * (1 + image._e)
+        if bound >= _BIAS:
+            raise OverflowError(f"exponents up to {bound} exceed the supported range")
         out: dict[int, int] = {}
         get = out.get
         for k, c in self._t.items():
@@ -274,7 +288,7 @@ class LaurentPoly:
                 out[k] = s
             else:
                 del out[k]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(out, bound)
 
     # -- rendering ----------------------------------------------------
 
@@ -331,7 +345,7 @@ def qbrace_poly(m: int) -> LaurentPoly:
     """The q-brace {m} = q^m - q^-m as a polynomial; {0} = 0."""
     if m == 0:
         return LaurentPoly.zero()
-    return LaurentPoly._raw({_mono_key(q=m): 1, _mono_key(q=-m): -1})
+    return LaurentPoly._raw({_mono_key(q=m)[0]: 1, _mono_key(q=-m)[0]: -1}, abs(m))
 
 
 def _divide_var_binomial(p: LaurentPoly, name: str, e_hi: int, c_hi: int,
@@ -372,7 +386,8 @@ def _divide_var_binomial(p: LaurentPoly, name: str, e_hi: int, c_hi: int,
     for rest in buckets.values():
         if rest:
             return None
-    return LaurentPoly._raw(quot)
+    # the quotient's exponents lie inside the dividend's range
+    return LaurentPoly._raw(quot, p._e)
 
 
 def divide_brace(p: LaurentPoly, m: int) -> LaurentPoly | None:
@@ -385,19 +400,14 @@ def divide_one_minus_sq(p: LaurentPoly, name: str) -> LaurentPoly | None:
     return _divide_var_binomial(p, name, 2, -1, 0, 1)
 
 
-def brace_product(ms: Iterable[int]) -> LaurentPoly:
-    out = LaurentPoly.one()
+def brace_product(ms: Iterable[int], p: LaurentPoly | None = None) -> LaurentPoly:
+    """``p`` (default 1) times {m} for each m in ``ms``."""
+    # one brace at a time: multiplying by the expanded product would cost
+    # 2^k times more on large polynomials
+    out = LaurentPoly.one() if p is None else p
     for m in ms:
         out = out * qbrace_poly(m)
     return out
-
-
-def _times_braces(p: LaurentPoly, ms: Iterable[int]) -> LaurentPoly:
-    # one brace at a time: multiplying by the expanded product would cost
-    # 2^k times more on large polynomials
-    for m in ms:
-        p = p * qbrace_poly(m)
-    return p
 
 
 class QFraction:
@@ -405,6 +415,9 @@ class QFraction:
 
     ``den`` is a sorted tuple of positive ints, each standing for a factor
     {m} = q^m - q^-m.  An empty den means the value is just the numerator.
+    A negative index given to the constructor is folded into the sign of
+    the numerator, since {-m} = -{m}; the index 0 ({0} = 0) raises
+    ValueError.
     """
 
     __slots__ = ("num", "den")
@@ -412,11 +425,15 @@ class QFraction:
     def __init__(self, num: LaurentPoly | int, den: Iterable[int] = ()):
         if isinstance(num, int):
             num = LaurentPoly.const(num)
-        d = tuple(sorted(den)) if not num.is_zero else ()
-        if any(m <= 0 for m in d):
-            raise ValueError("brace denominators must be positive integers")
+        d = tuple(sorted(den))
+        if d and d[0] <= 0:
+            if 0 in d:
+                raise ValueError("the brace {0} = 0 cannot be a denominator")
+            if sum(m < 0 for m in d) % 2:
+                num = -num
+            d = tuple(sorted(map(abs, d)))
         self.num = num
-        self.den = d
+        self.den = d if not num.is_zero else ()
 
     @classmethod
     def zero(cls) -> QFraction:
@@ -430,28 +447,17 @@ class QFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    # -- arithmetic over the least common brace multiset ---------------
-
-    def _match(self, other: QFraction) -> tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]:
-        if self.den == other.den:
-            return self.num, other.num, self.den
-        ca, cb = Counter(self.den), Counter(other.den)
-        lcm = ca | cb
-        na = _times_braces(self.num, (lcm - ca).elements())
-        nb = _times_braces(other.num, (lcm - cb).elements())
-        return na, nb, tuple(sorted(lcm.elements()))
+    # -- arithmetic: sums go over the least common brace multiset -------
 
     def __add__(self, other: QFraction) -> QFraction:
         if not isinstance(other, QFraction):
             return NotImplemented
-        na, nb, den = self._match(other)
-        return QFraction(na + nb, den)
+        return qfrac_sum([self, other])
 
     def __sub__(self, other: QFraction) -> QFraction:
         if not isinstance(other, QFraction):
             return NotImplemented
-        na, nb, den = self._match(other)
-        return QFraction(na - nb, den)
+        return qfrac_sum([self, -other])
 
     def __neg__(self) -> QFraction:
         return QFraction(-self.num, self.den)
@@ -470,8 +476,9 @@ class QFraction:
             other = QFraction(other)
         if not isinstance(other, QFraction):
             return NotImplemented
-        na, nb, _ = self._match(other)
-        return na == nb
+        if self.den == other.den:   # no common denominator to form
+            return self.num == other.num
+        return (self - other).is_zero
 
     def __hash__(self) -> int:
         # reduced() is not canonical (({9}/{3})/{9} stays as it is while
@@ -490,19 +497,19 @@ class QFraction:
         """Remove every brace factor that divides the numerator exactly."""
         if self.num.is_zero or not self.den:
             return self
+        # One pass is enough.  If {m} does not divide N, it divides no
+        # quotient N/{m'} either (that quotient divides N), nor does any
+        # {k m}, which {m} divides; so a failed index and its multiples are
+        # never tried again.
         num = self.num
-        rem = list(self.den)
-        progress = True
-        while progress and rem:
-            progress = False
-            for i, m in enumerate(rem):
-                qt = divide_brace(num, m)
-                if qt is not None:
-                    num = qt
-                    rem.pop(i)
-                    progress = True
-                    break
-        return QFraction(num, rem)
+        kept: list[int] = []
+        for m in self.den:
+            qt = None if any(m % f == 0 for f in kept) else divide_brace(num, m)
+            if qt is None:
+                kept.append(m)
+            else:
+                num = qt
+        return QFraction(num, kept)
 
     def as_poly(self) -> LaurentPoly:
         """The value as a LaurentPoly; raises ValueError if braces remain."""
@@ -526,7 +533,7 @@ class QFraction:
         if c not in (1, -1):
             raise NonUnitConstantTerm(f"coefficient {c} is not invertible over Z")
         inv = LaurentPoly({tuple(-e for e in mono): c})
-        return QFraction(inv * brace_product(r.den))
+        return QFraction(brace_product(r.den, inv))
 
     def render(self, fmt: str = "text") -> str:
         if not self.den:
@@ -542,21 +549,37 @@ class QFraction:
 
 
 def qfrac_sum(terms: Iterable[QFraction]) -> QFraction:
-    """Sum many QFractions over their least common brace multiset at once,
-    cheaper than folding pairwise."""
-    terms = [t for t in terms if not t.is_zero]
-    if not terms:
-        return QFraction.zero()
-    if len(terms) == 1:
-        return terms[0]
-    counters = [Counter(t.den) for t in terms]
-    lcm = Counter()
-    for c in counters:
-        lcm |= c
+    """Sum QFractions over their least common brace multiset at once.
+
+    The one place where fractions are brought over a common denominator:
+    ``+``, ``-`` and ``==`` of QFraction come here too.  Summing a whole
+    list at once is cheaper than folding it pairwise.
+    """
+    terms = [t for t in terms if t.num._t]
+    if len(terms) < 2:
+        return terms[0] if terms else QFraction.zero()
+    den = terms[0].den
+    if all(t.den == den for t in terms):
+        acc = terms[0].num
+        for t in terms[1:]:
+            acc = acc + t.num
+        return QFraction(acc, den)
+    # the least common multiset: each brace as often as the term that has it most
+    lcm: list[int] = []
+    for t in terms:
+        rest = list(lcm)
+        for m in t.den:
+            if m in rest:
+                rest.remove(m)
+            else:
+                lcm.append(m)
     acc = LaurentPoly.zero()
-    for t, c in zip(terms, counters):
-        acc = acc + _times_braces(t.num, (lcm - c).elements())
-    return QFraction(acc, tuple(sorted(lcm.elements())))
+    for t in terms:
+        missing = list(lcm)
+        for m in t.den:
+            missing.remove(m)
+        acc = acc + brace_product(missing, t.num)
+    return QFraction(acc, lcm)
 
 
 class TruncatedSeries:
@@ -613,12 +636,9 @@ class TruncatedSeries:
         k = min(self.order, other.order)
         out = []
         for n in range(k + 1):
-            acc = QFraction.zero()
-            for j in range(n + 1):
-                a, b = self.coeffs[j], other.coeffs[n - j]
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b
-            out.append(acc.reduced())
+            pairs = zip(self.coeffs[:n + 1], reversed(other.coeffs[:n + 1]))
+            out.append(qfrac_sum([a * b for a, b in pairs
+                                  if not (a.is_zero or b.is_zero)]).reduced())
         return TruncatedSeries(out, k)
 
     def scale(self, c: QFraction | LaurentPoly | int) -> TruncatedSeries:
@@ -638,11 +658,8 @@ class TruncatedSeries:
         b0 = self.coeffs[0].inverse_unit()
         out = [b0]
         for n in range(1, self.order + 1):
-            acc = QFraction.zero()
-            for j in range(1, n + 1):
-                a = self.coeffs[j]
-                if not a.is_zero:
-                    acc = acc + a * out[n - j]
+            acc = qfrac_sum([self.coeffs[j] * out[n - j] for j in range(1, n + 1)
+                             if not self.coeffs[j].is_zero])
             out.append((-(b0 * acc)).reduced())
         return TruncatedSeries(out, self.order)
 

@@ -30,8 +30,8 @@ def _b_coeff(n: int, beta_exp: int, base_exp: int) -> QFraction:
     """Recurrence coefficient b_n as a brace fraction.
 
     Writing each factor 1 - q^(2m) as -q^m {m}, the four unit monomials
-    cancel exactly and b_n = {m1}{m2} / ({m3}{m4}) up to the sign flips
-    of negative brace indices.
+    cancel exactly and b_n = {m1}{m2} / ({m3}{m4}); an index may be
+    negative, and {-m} = -{m}.
     """
     b, B = base_exp, beta_exp
     e1, e2 = b * n, 2 * B + b * (n - 1)
@@ -40,13 +40,7 @@ def _b_coeff(n: int, beta_exp: int, base_exp: int) -> QFraction:
         raise DegenerateRecurrence(f"denominator of b_{n} vanishes identically")
     if e1 == 0 or e2 == 0:
         return QFraction.zero()
-    m1, m2, m3, m4 = e1 // 2, e2 // 2, e3 // 2, e4 // 2
-    sign = 1
-    for m in (m1, m2, m3, m4):
-        if m < 0:
-            sign = -sign
-    num = qbrace_poly(abs(m1)) * qbrace_poly(abs(m2))
-    return QFraction(num * sign, (abs(m3), abs(m4)))
+    return QFraction(qbrace_poly(e1 // 2) * qbrace_poly(e2 // 2), (e3 // 2, e4 // 2))
 
 
 @lru_cache(maxsize=None)

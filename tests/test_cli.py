@@ -26,6 +26,7 @@ def test_coeff_classic_golden(capsys):
     (["coeff", "-n", "4", "-i", "2", "--route", "sum"], "coeff_n4_i2"),
     (["coeff", "-n", "4", "-i", "2", "--route", "series"], "coeff_n4_i2"),
     (["coeff", "-n", "4", "-i", "2", "--route", "det"], "coeff_n4_i2"),
+    (["coeff", "-n", "4", "-i", "2", "--route", "series", "--order", "7"], "coeff_n4_i2"),
     (["coeff", "-n", "4", "-i", "2", "--route", "macdonald", "--t2", "1"],
      "coeff_n4_i2_t2one"),
     (["coeff", "-n", "4", "-i", "2", "--t1", "1", "--format", "latex"],
@@ -93,6 +94,27 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run(capsys, ["coeff", "-n", "5", "-i", "4", "--route", "det"])
     assert code == 1 and "i <= 3" in err
+
+
+@pytest.mark.parametrize("route", ["series", "sum"])
+def test_order_below_n_exits_one(capsys, route):
+    code, out, err = run(capsys, ["coeff", "-n", "4", "-i", "2", "--route", route,
+                                  "--order", "3"])
+    assert code == 1 and out == ""
+    assert err == "error: order 3 is below the requested coefficient n=4\n"
+
+
+# --classic prints the classical coefficient, but its flags are checked as
+# they are without it
+@pytest.mark.parametrize("flags", [
+    ["-n", "5", "-i", "4", "--route", "det", "--order", "1"],
+    ["-n", "2", "-i", "2", "--route", "macdonald"],
+    ["-n", "4", "-i", "2", "--order", "3"],
+], ids=["det-past-3", "macdonald-without-t2", "order-below-n"])
+def test_classic_validates_flags_alike(capsys, flags):
+    plain = run(capsys, ["coeff", *flags])
+    assert plain[0] == 1
+    assert run(capsys, ["coeff", "--classic", *flags]) == plain
 
 
 def test_knot_file_ingestion(tmp_path, capsys):

@@ -181,8 +181,8 @@ def test_det_route_cap():
     (3, 2, {"route": "macdonald"}, RouteUnavailable),
     (3, 2, {"route": "macdonald", "t2": True}, ValueError),
     (3, 2, {"route": "nope"}, RouteUnavailable),
-    (4, 2, {"route": "series", "order": 3}, RouteUnavailable),
-    (4, 2, {"route": "sum", "order": 3}, RouteUnavailable),
+    (4, 2, {"route": "series", "order": 7}, TypeError),   # --order is the CLI's alone
+    (3, 2, {"route": "series", "t1": 2}, ValueError),
     (3, 4, {"route": "series"}, IndexError),
     (3, 0, {"route": "det"}, IndexError),
 ])

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gjones.exactalg import (LaurentPoly, NonUnitConstantTerm, QFraction,
-                             TruncatedSeries, divide_brace, divide_one_minus_sq,
-                             qbrace_poly, qfrac_sum)
+                             TruncatedSeries, brace_product, divide_brace,
+                             divide_one_minus_sq, qbrace_poly, qfrac_sum)
 
 L = LaurentPoly
 
@@ -23,6 +23,18 @@ def polys(vars=("q", "t1", "U"), max_terms=4, exp=3, coeff=6):
     return st.lists(term, max_size=max_terms).map(build)
 
 
+def signed_monomials(vars=("q", "t1", "U"), exp=3):
+    """Substitution images: one term with coefficient +1 or -1."""
+    return st.builds(lambda exps, c: L.term(c, **dict(zip(vars, exps))),
+                     st.tuples(*[st.integers(-exp, exp) for _ in vars]),
+                     st.sampled_from((1, -1)))
+
+
+def fractions(max_den=3):
+    return st.builds(QFraction, polys(vars=("q", "t1")),
+                     st.lists(st.integers(1, 6), max_size=max_den))
+
+
 # -- LaurentPoly ------------------------------------------------------------
 
 def test_product_difference_of_squares():
@@ -39,6 +51,26 @@ def test_additive_inverse_is_empty():
 def test_brace_square():
     b = qbrace_poly(2)
     assert b * b == L.term(1, q=4) + L.const(-2) + L.term(1, q=-4)
+
+
+# An exponent that could leave its packed field raises instead of
+# carrying into the neighbouring variable.
+@pytest.mark.parametrize("make, exc", [
+    (lambda: L.var("q", 100000) ** 8, OverflowError),
+    (lambda: L.var("t1", 100000) ** 8, OverflowError),
+    (lambda: L({(600000, 0, 0, 0, 0, 0, 0, 0, 0): 1}), ValueError),
+    (lambda: L.var("q", 5).substitute("q", L.var("q", 131071)), OverflowError),
+], ids=["q-power", "t1-power", "tuple-constructor", "substitute"])
+def test_exponent_overflow_raises(make, exc):
+    with pytest.raises(exc):
+        make()
+
+
+def test_large_exponents_below_the_field_stay_exact():
+    p = L.var("q", 100000) ** 4
+    assert p.as_single_term() == ((400000,) + (0,) * 8, 1)
+    assert (p * L.var("q", -100000)).as_single_term()[0][0] == 300000
+    assert L.var("q", 3).substitute("q", L.var("q", 131071)).as_single_term()[0][0] == 393213
 
 
 def test_pow_matches_repeated_product():
@@ -74,6 +106,14 @@ def test_substitute_rejects_nonmonomial_image():
         L.var("U").substitute("U", L.var("q") + L.one())
     with pytest.raises(ValueError):
         L.var("U").substitute("U", L.term(2, q=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), signed_monomials(), st.sampled_from(("q", "t1", "U")))
+def test_substitute_is_ring_homomorphism(a, b, image, name):
+    assert (a + b).substitute(name, image) == a.substitute(name, image) + b.substitute(name, image)
+    assert (a * b).substitute(name, image) == a.substitute(name, image) * b.substitute(name, image)
+    assert L.one().substitute(name, image) == L.one()
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,7 +155,7 @@ def test_divide_one_minus_sq():
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(vars=("q", "t1")), st.integers(1, 5))
+@given(polys(vars=("q", "t1", "t2")), st.integers(1, 5))
 def test_divide_brace_inverts_multiplication(p, m):
     assert divide_brace(p * qbrace_poly(m), m) == p
 
@@ -135,7 +175,6 @@ def test_reduce_examples():
 @settings(max_examples=40, deadline=None)
 @given(polys(vars=("q", "t1")), st.lists(st.integers(1, 4), max_size=3))
 def test_reduce_preserves_value(num, den):
-    from gjones.exactalg import brace_product
     f = QFraction(num, den)
     r = f.reduced()
     assert f.num * brace_product(r.den) == r.num * brace_product(f.den)
@@ -163,11 +202,42 @@ def test_fraction_arithmetic_common_denominator():
     assert a * b == QFraction(L.one(), (2, 3))
 
 
-def test_qfrac_sum_matches_pairwise():
-    parts = [QFraction(qbrace_poly(m), (m + 1,)) for m in (1, 2, 3)]
-    folded = parts[0] + parts[1] + parts[2]
-    assert qfrac_sum(parts) == folded
+@settings(max_examples=40, deadline=None)
+@given(st.lists(fractions(), max_size=4))
+def test_qfrac_sum_matches_pairwise(parts):
+    # reference: cross-multiply every part by the others' full brace products,
+    # so no common denominator is formed and qfrac_sum is not consulted
+    ref = L.zero()
+    for k, f in enumerate(parts):
+        ref = ref + brace_product([m for g in parts[:k] + parts[k + 1:] for m in g.den], f.num)
+    s = qfrac_sum(parts)
+    assert brace_product([m for f in parts for m in f.den], s.num) == brace_product(s.den, ref)
     assert qfrac_sum([]).is_zero
+
+
+def test_negative_braces_fold_into_the_sign():
+    p = L.term(2, q=1, t1=-1) - L.var("t2")
+    a, b = QFraction(p, (-3, 5)), QFraction(-p, (3, 5))
+    assert a.num == b.num and a.den == b.den == (3, 5)
+    c = QFraction(p, (-3, -5))
+    assert c.num == p and c.den == (3, 5)
+
+
+@pytest.mark.parametrize("num", [1, 0])
+def test_zero_brace_denominator_raises(num):
+    with pytest.raises(ValueError):
+        QFraction(num, (0,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(vars=("q", "t1"), max_terms=3),
+       st.lists(st.integers(1, 6), max_size=3), st.lists(st.integers(1, 6), max_size=3))
+def test_reduced_leaves_no_dividing_brace(core, factors, extra):
+    f = QFraction(brace_product(factors, core), factors + extra)
+    r = f.reduced()
+    assert r == f
+    for m in set(r.den):
+        assert divide_brace(r.num, m) is None, (m, r)
 
 
 def test_as_poly_raises_when_stuck():
