@@ -6,7 +6,7 @@ can be computed by several independent routes that must agree.
 """
 
 from gjones import (coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
-                    cyclotomic_c, qint)
+                    coefficient, cyclotomic_c, qint)
 
 print("Classical coefficients")
 print("----------------------")
@@ -20,15 +20,15 @@ for n in range(1, 5):
 print("  c[n,1] == [n]_{q^2} for n <= 4")
 print()
 
-print("Generalized coefficients (production route: weighted table sum)")
-print("---------------------------------------------------------------")
+print("Generalized coefficients (production route: fraction-free series sweep)")
+print("------------------------------------------------------------------------")
 for n in range(1, 4):
     for i in range(1, n + 1):
-        print(f"  chat[{n},{i}] = {coeff_sum(n, i)}")
+        print(f"  chat[{n},{i}] = {coefficient(n, i)}")
 print()
 
 print("Setting t1 = t2 = 1 recovers the classical values:")
-ch = coeff_sum(3, 2)
+ch = coefficient(3, 2)
 print("  chat[3,2](q,1,1) == c[3,2]:",
       ch.substitute("t1", 1).substitute("t2", 1) == cyclotomic_c(3, 2))
 print()

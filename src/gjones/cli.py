@@ -58,6 +58,10 @@ def _add_common(p: argparse.ArgumentParser, *, order: bool = True) -> None:
                        help="series truncation order, at least n (series/det routes)")
 
 
+_ROUTE_HELP = ("coefficient route; the default, series, is fraction-free and divides "
+               "only by {2}, and sum runs the transition table")
+
+
 def build_parser() -> _Parser:
     ap = _Parser(prog="gjones", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -66,7 +70,8 @@ def build_parser() -> _Parser:
     pc.add_argument("-n", type=int, required=True)
     pc.add_argument("-i", type=int, required=True)
     pc.add_argument("--classic", action="store_true", help="classical coefficient")
-    pc.add_argument("--route", default="sum", choices=("sum", "series", "det", "macdonald"))
+    pc.add_argument("--route", default="series", choices=("sum", "series", "det", "macdonald"),
+                    help=_ROUTE_HELP)
     _add_common(pc)
 
     pj = sub.add_parser("jones", help="knot polynomial")
@@ -74,7 +79,8 @@ def build_parser() -> _Parser:
     src.add_argument("--knot", help="built-in knot name")
     src.add_argument("--knot-file", help="path to a knot record JSON file")
     pj.add_argument("-n", type=int, required=True)
-    pj.add_argument("--route", default="sum", choices=("sum", "series", "macdonald"))
+    pj.add_argument("--route", default="series", choices=("sum", "series", "macdonald"),
+                    help=_ROUTE_HELP)
     _add_common(pj, order=False)
 
     pt = sub.add_parser("table", help="triangular tables")
@@ -154,6 +160,8 @@ def _cmd_table(args) -> str:
                     lines.append(f"a[{n},{p}] = {f.render(args.format)}")
     else:
         for n in range(1, nmax + 1):
+            if args.what == "coeff":
+                coefficient(n, n, t1=t1, t2=t2)     # the corner first: one sweep per row
             for i in range(1, n + 1):
                 if args.what == "classic":
                     poly = cyclotomic_c(n, i)

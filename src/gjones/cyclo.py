@@ -11,8 +11,9 @@ cross-check each other.
 
 Generalized cyclotomic coefficients are then available by four routes:
 
-* ``coeff_sum``        weighted sum over a table row (production route);
-* ``coeff_series``     lam-series from a lower-triangular solve;
+* ``coeff_series``     lam-series of a lower-triangular solve, swept layer by
+                       layer without fractions (production route);
+* ``coeff_sum``        weighted sum over a table row;
 * ``coeff_det_series`` same series from a small bordered determinant;
 * ``coeff_t2one``      closed form at t2 = 1 via Rogers polynomials.
 
@@ -22,11 +23,13 @@ applies, specializes t1 / t2 and insists on an integer Laurent polynomial.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactalg import LaurentPoly, QFraction, TruncatedSeries, qbrace_poly, qfrac_sum
+from .exactalg import (LaurentPoly, QFraction, TruncatedSeries, divide_brace, qbrace_poly,
+                       qfrac_sum)
 from .macdonald import rogers_c
 from .qcombo import alpha_weight, cyclotomic_c, qint
 
@@ -144,6 +147,10 @@ def coeff_sum(n: int, i: int) -> LaurentPoly:
 # lam-series route
 # ---------------------------------------------------------------------------
 
+_TBAR1 = LaurentPoly.var("t1") - LaurentPoly.var("t1", -1)
+_TBAR2 = LaurentPoly.var("t2") - LaurentPoly.var("t2", -1)
+
+
 def b_entry(p: int, N: int) -> LaurentPoly:
     """Sub-diagonal entry coupling row p to column N of the triangular system.
 
@@ -156,55 +163,128 @@ def b_entry(p: int, N: int) -> LaurentPoly:
         raise IndexError(f"b_entry needs p > N >= 1, got p={p}, N={N}")
     braces = qbrace_poly(p + N) - qbrace_poly(p - N)
     if (p - N) % 2 == 0:
-        tbar = LaurentPoly.var("t1") - LaurentPoly.var("t1", -1)
-        return -(braces * tbar)
-    tbar = LaurentPoly.var("t2") - LaurentPoly.var("t2", -1)
-    return braces * tbar
+        return -(braces * _TBAR1)
+    return braces * _TBAR2
+
+
+def _x(N: int, t1_one: bool = False) -> LaurentPoly:
+    """x_N = q^2N t1^-1 + q^-2N t1, or q^2N + q^-2N at t1 = 1."""
+    s = 0 if t1_one else 1
+    return LaurentPoly.term(1, q=2 * N, t1=-s) + LaurentPoly.term(1, q=-2 * N, t1=s)
 
 
 def gamma_lam(N: int, order: int) -> TruncatedSeries:
-    """lam * gamma_N = -1 + (q^2N t1^-1 + q^-2N t1) lam - lam^2.
+    """lam * gamma_N = -1 + x_N lam - lam^2.
 
     Multiplying each row of the system by lam clears lam^-1 and leaves a
     unit constant term, so plain power-series inversion applies.
     """
-    mid = LaurentPoly.term(1, q=2 * N, t1=-1) + LaurentPoly.term(1, q=-2 * N, t1=1)
-    return TruncatedSeries([LaurentPoly.const(-1), mid, LaurentPoly.const(-1)], order)
+    return TruncatedSeries([LaurentPoly.const(-1), _x(N), LaurentPoly.const(-1)], order)
 
 
-@lru_cache(maxsize=None)
-def _eigen_row(N: int, order: int) -> TruncatedSeries:
-    rhs = TruncatedSeries([LaurentPoly.zero(), -qbrace_poly(2 * N)], order)
-    acc = rhs
-    for M in range(1, N):
-        acc = acc - _eigen_row(M, order).scale(b_entry(N, M)).shift(1)
-    return gamma_lam(N, order).invert() * acc
+def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False):
+    """Yield the lam^k layers {N: y^(N)_k}, k = 0..n, of the eigen rows N = 1..rows.
 
+    Row N solves lam*gamma_N(lam) y^(N) = -{2N} lam - lam sum_{M<N} b_entry(N, M) y^(M),
+    so with {N+M} - {N-M} = (q^N + q^-N){M}
 
-def eigen_series(n_values: list[int] | tuple[int, ...], order: int) -> dict[int, TruncatedSeries]:
-    """Solve the lam-cleared lower-triangular system by forward substitution.
+        y_k = x_N y_{k-1} - y_{k-2} + [k=1]{2N}
+              + (q^N + q^-N)(tbar2 E^opp_{k-1} - tbar1 E^same_{k-1}),
 
-    Returns the series attached to each requested index N >= 1; every
-    series has constant term 0.
+    where E^par_{k-1} sums {M} y^(M)_{k-1} over the M < N whose parity is
+    the same as or opposite to N's.  Every step multiplies by binomials
+    only and divides by nothing.  Layer 0 is zero, layer n holds only the
+    odd rows (the only ones read from it), and only the last two layers are
+    held.  ``t1_one`` / ``t2_one`` set t1 / t2 to 1 on the way: at t2 = 1
+    odd rows couple only to odd rows, so the even rows are skipped.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return {N: _eigen_row(N, order) for N in n_values}
+    zero = LaurentPoly.zero()
+    index = range(1, rows + 1, 2 if t2_one else 1)
+    x = {N: _x(N, t1_one) for N in index}
+    coupled = not (t1_one and t2_one)
+    prev2 = prev = dict.fromkeys(index, zero)
+    yield prev
+    for k in range(1, n + 1):
+        cur = {}
+        e_sum = [zero, zero]    # indexed by the parity of M
+        for N in index:
+            if k < n or N % 2:
+                y = x[N] * prev[N] - prev2[N]
+                if k == 1:
+                    y = y + qbrace_poly(2 * N)
+                if coupled:
+                    couple = zero
+                    if not t1_one:
+                        couple = couple - _TBAR1 * e_sum[N % 2]
+                    if not t2_one:
+                        couple = couple + _TBAR2 * e_sum[1 - N % 2]
+                    if not couple.is_zero:
+                        y = y + (LaurentPoly.var("q", N) + LaurentPoly.var("q", -N)) * couple
+                cur[N] = y
+            if coupled:
+                e_sum[N % 2] = e_sum[N % 2] + qbrace_poly(N) * prev[N]
+        prev2, prev = prev, cur
+        yield cur
+
+
+def _sweep(n: int, width: int, t1_one: bool = False, t2_one: bool = False
+           ) -> tuple[LaurentPoly, ...]:
+    """chat[n][1..width] from layer n of the eigen rows N = 1..2*width-1.
+
+    With r_m = y^(m)_n on the odd m, {2} chat[n][1] = r_1, and each step
+    r'_m = r_{m+2} + r_{m-2} - (q^4i + q^-4i) r_m, with r_{-1} = -r_1,
+    turns {2} chat[n][i] into {2} chat[n][i+1] (the dual of multiplying
+    eigen_product(i) by X^2 + X^-2 - q^4i - q^-4i).  The one division is
+    the exact {2} per coefficient; a remainder raises IntegralityViolation.
+    """
+    layer = deque(_eigen_layers(2 * width - 1, n, t1_one, t2_one), maxlen=1).pop()
+    r = [layer[m] for m in range(1, 2 * width, 2)]
+    out = []
+    for i in range(1, width + 1):
+        chat = divide_brace(r[0], 2)
+        if chat is None:
+            raise IntegralityViolation(f"series coefficient (n={n}, i={i}) kept {{2}}")
+        out.append(chat)
+        if i < width:
+            w = LaurentPoly.var("q", 4 * i) + LaurentPoly.var("q", -4 * i)
+            r = [r[j + 1] + (r[j - 1] if j else -r[0]) - w * r[j] for j in range(len(r) - 1)]
+    return tuple(out)
+
+
+# chat[n][1..w] per (n, t1 = 1?, t2 = 1?), widened only when a larger i is asked for
+_CHAT_ROWS: dict[tuple[int, bool, bool], tuple[LaurentPoly, ...]] = {}
+
+
+def _chat_row(n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly, ...]:
+    """chat[n][1..w] for some w >= width, specialized as asked.
+
+    A specialized row is the first ``width`` entries of the formal row,
+    specialized, when the formal row is cached wide enough, and comes from
+    a specialized sweep otherwise.
+    """
+    t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
+    row = _CHAT_ROWS.get((n, t1_one, t2_one))
+    if row is None or len(row) < width:
+        formal = _CHAT_ROWS.get((n, False, False))
+        if formal is not None and len(formal) >= width:
+            row = tuple(specialize(p, t1, t2) for p in formal[:width])
+        else:
+            row = _sweep(n, width, t1_one, t2_one)
+        _CHAT_ROWS[n, t1_one, t2_one] = row
+    return row
 
 
 def coeff_series(i: int, order: int) -> TruncatedSeries:
-    """Generating series whose lam^n coefficient is the (n, i) generalized
-    coefficient: a {2}-normalized alpha-weighted combination of the odd
-    rows of the triangular solve."""
+    """Generating series sum_n chat[n][i] lam^n to ``order``, read off the sweep.
+
+    Its lam^n coefficient is zero for n < i.
+    """
     if i < 1:
         raise ValueError("coeff_series requires i >= 1")
     if order < i:
         raise ValueError("order must be at least i")
-    rows = eigen_series([2 * k - 1 for k in range(1, i + 1)], order)
-    acc = TruncatedSeries.zero(order)
-    for k in range(1, i + 1):
-        acc = acc + rows[2 * k - 1].scale(alpha_weight(i, k))
-    return acc.scale(QFraction(LaurentPoly.one(), (2,)))
+    return TruncatedSeries([0] * i + [_chat_row(n, i)[i - 1] for n in range(i, order + 1)],
+                           order)
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +378,25 @@ def check_route(route: str, t1=None, t2=None, i: int = 1) -> None:
         raise RouteUnavailable("the macdonald route needs t2 = 1")
 
 
-def coefficient(n: int, i: int, route: str = "sum", t1=None, t2=None) -> LaurentPoly:
+def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> LaurentPoly:
     """The generalized cyclotomic coefficient chat[n][i-1](q, t1, t2), 1 <= i <= n.
 
     ``route`` is one of ROUTES; every route gives the same polynomial where
     it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
-    formal variable) or the int 1.  The series and det routes truncate
-    their series at order n, the cheapest order that reaches lam^n.
+    formal variable) or the int 1.  The default series route divides only
+    by {2}, once per coefficient, and caches the whole row chat[n][1..i];
+    ask for the widest i of a row first.  The det route truncates its
+    series at order n.
     """
     check_route(route, t1, t2, i)
     if i < 1 or n < i:
         raise IndexError(f"coefficient out of range: n={n}, i={i}")
+    if route == "series":
+        return _chat_row(n, i, t1, t2)[i - 1]
     if route == "sum":
         poly = coeff_sum(n, i)
     elif route == "macdonald":
         poly = coeff_t2one(n, i)
     else:
-        series = coeff_series(i, n) if route == "series" else coeff_det_series(i, n)
-        poly = integral(series.coeff(n), f"{route} coefficient (n={n}, i={i})")
+        poly = integral(coeff_det_series(i, n).coeff(n), f"det coefficient (n={n}, i={i})")
     return specialize(poly, t1, t2)

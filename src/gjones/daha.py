@@ -176,7 +176,9 @@ def _s_vector(j: int) -> UPoly:
         return UPoly()
     if j == 0:
         return base_vector()
-    return dunkl_pair(_s_vector(j - 1)) - _s_vector(j - 2)
+    # reduced as it goes: unreduced denominators grow to 32 braces by j = 8
+    v = dunkl_pair(_s_vector(j - 1)) - _s_vector(j - 2)
+    return UPoly({k: c.reduced() for k, c in v._c.items()})
 
 
 def skew_coefficients(v: UPoly, pmax: int | None = None) -> dict[int, QFraction]:

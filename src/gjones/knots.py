@@ -131,11 +131,11 @@ def classical_jones(knot: KnotRecord, n: int) -> LaurentPoly:
 
 
 def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
-                      route: str = "sum") -> LaurentPoly:
+                      route: str = "series") -> LaurentPoly:
     """The two-parameter deformation sum_i chat[n][i-1](q, t1, t2) H_{i-1}(q).
 
     ``t1``/``t2`` are either None (keep the formal variable) or the int 1.
-    Routes: "sum" (default), "series", and "macdonald" (t2 = 1 only); the
+    Routes: "series" (default), "sum", and "macdonald" (t2 = 1 only); the
     det route stops at i = 3 and is refused here.  The result always
     reduces to an integer Laurent polynomial; at t1 = t2 = 1 it equals the
     classical polynomial.
@@ -145,9 +145,11 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
     if route == "det":
         raise RouteUnavailable("the det route does not reach knot polynomials")
     check_route(route, t1, t2)
+    habiro = [knot.habiro_at(i - 1) for i in range(1, n + 1)]
     out = LaurentPoly.zero()
-    for i in range(1, n + 1):
-        h = knot.habiro_at(i - 1)
+    # the widest coefficient first, so that the series route sweeps the row once
+    for i in range(n, 0, -1):
+        h = habiro[i - 1]
         if not h.is_zero:
             out = out + coefficient(n, i, route, t1, t2) * h
     return out

@@ -51,10 +51,10 @@ def check_classical_specialization(nmax: int | None = None) -> None:
 
 
 def check_routes_series(nmax: int | None = None) -> None:
-    """Recurrence-sum route equals the lam-series route."""
+    """Recurrence-sum route equals the lam-series route, for every i <= n."""
     top = _cap(8, nmax)
-    imax = min(4, top)
-    for i in range(1, imax + 1):
+    # the widest i first: each row n is then swept once, at i = n
+    for i in range(top, 0, -1):
         series = coeff_series(i, top)
         for n in range(1, top + 1):
             want = QFraction(coeff_sum(n, i)) if n >= i else QFraction.zero()

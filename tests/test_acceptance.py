@@ -29,7 +29,7 @@ def test_c03_route_equivalence():
     verify.check_routes_det(nmax=8)
     verify.check_routes_macdonald(nmax=8)
     _report("criterion-03 route-equivalence",
-            "sum = series (n<=8, i<=4), = det (i<=3, order 8), = closed form at t2=1 (n<=8)")
+            "sum = series (n<=8, i<=n), = det (i<=3, order 8), = closed form at t2=1 (n<=8)")
 
 
 def test_c04_operator_oracle():

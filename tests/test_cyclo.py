@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gjones import daha
-from gjones.cyclo import (ROUTES, RouteUnavailable, a_ratio, a_table, b_entry,
+from gjones import cyclo, daha
+from gjones.cli import main
+from gjones.cyclo import (ROUTES, RouteUnavailable, _eigen_layers, a_ratio, a_table, b_entry,
                           coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
-                          coefficient, eigen_series, gamma_lam)
+                          coefficient, gamma_lam, specialize)
 from gjones.exactalg import LaurentPoly as L, QFraction as F, qbrace_poly
 from gjones.knots import figure_eight, generalized_jones, universal_eval
 from gjones.qcombo import cyclotomic_c
@@ -132,17 +134,20 @@ def test_b_entry_parity_selector():
         b_entry(1, 1)
 
 
-def test_eigen_series_structure():
-    rows = eigen_series([1, 2, 3], 5)
-    for N, s in rows.items():
-        assert s.coeff(0).is_zero, N
+def test_eigen_layers_structure():
+    layers = list(_eigen_layers(3, 6))      # layer 6, the last, holds the odd rows only
+    assert sorted(layers[6]) == [1, 3]
+    # layer 0 is the constant term of every row
+    assert all(y.is_zero for y in layers[0].values())
     # first row: lam coefficient is {2}
-    assert rows[1].coeff(1) == F(qbrace_poly(2))
-    # at t1 = t2 = 1 the N-th series has coefficients {2Nn}
-    one = rows[1]
-    for n in range(1, 6):
-        v = one.coeff(n).substitute("t1", 1).substitute("t2", 1).reduced()
-        assert v == F(qbrace_poly(2 * n)), n
+    assert layers[1][1] == qbrace_poly(2)
+    # at t1 = t2 = 1 the N-th row has coefficients {2Nk}, specialized late or
+    # early (which skips the even rows)
+    early = list(_eigen_layers(3, 5, t1_one=True, t2_one=True))
+    for k in range(1, 6):
+        for N in (1, 2, 3):
+            assert spec11(layers[k][N]) == qbrace_poly(2 * N * k), (k, N)
+        assert early[k] == {1: qbrace_poly(2 * k), 3: qbrace_poly(6 * k)}, k
 
 
 def test_series_route_matches_sum_route():
@@ -159,6 +164,33 @@ def test_series_vanishing_below_diagonal():
     g = coeff_series(3, 5)
     assert g.coeff(1).reduced().is_zero
     assert g.coeff(2).reduced().is_zero
+
+
+def test_each_colour_swept_once(monkeypatch, capsys):
+    swept = []
+    sweep = cyclo._sweep
+    monkeypatch.setattr(cyclo, "_sweep", lambda n, *args: swept.append(n) or sweep(n, *args))
+    monkeypatch.setattr(cyclo, "_CHAT_ROWS", {})
+    for n in range(1, 7):
+        generalized_jones(figure_eight(), n)
+    assert swept == [1, 2, 3, 4, 5, 6]
+    for spec in ([], ["--t1", "1"]):
+        swept.clear()
+        monkeypatch.setattr(cyclo, "_CHAT_ROWS", {})
+        assert main(["table", "-n", "6", "--what", "coeff", *spec]) == 0
+        assert swept == [1, 2, 3, 4, 5, 6], spec
+    capsys.readouterr()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from((None, 1)), st.sampled_from((None, 1)),
+       st.booleans())
+def test_series_specializes_like_sum(data, n, t1, t2, formal_first):
+    i = data.draw(st.integers(1, n))
+    cyclo._CHAT_ROWS.clear()
+    if formal_first:
+        coefficient(n, n)     # the specialized row then comes from the cached formal row
+    assert coefficient(n, i, "series", t1, t2) == specialize(coeff_sum(n, i), t1, t2)
 
 
 # -- determinant route ------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Its tracer wraps library functions by name and reads ``a_table``'s
 ``cache_info``; renaming those breaks the per-layer metrics silently, so
-one traced CLI call checks that the counts it reads are still there.
+a traced CLI call on the sum route checks that the counts it reads are
+still there, and one on the default route that it builds no table.
 """
 
 import json
@@ -24,11 +25,21 @@ def test_self_check_passes():
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
 
 
-def test_traced_cli_counts(tmp_path):
+def _traced_counts(tmp_path, *argv):
     trace = tmp_path / "trace.json"
-    proc = _run("perfbench/worker.py", "cli", "--trace-file", str(trace), "--",
-                "jones", "--knot", "figure-eight", "-n", "3")
+    proc = _run("perfbench/worker.py", "cli", "--trace-file", str(trace), "--", *argv)
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(trace.read_text())["counts"]
+    return json.loads(trace.read_text())["counts"]
+
+
+def test_traced_cli_counts(tmp_path):
+    counts = _traced_counts(tmp_path, "jones", "--knot", "figure-eight", "-n", "3",
+                            "--route", "sum")
     assert counts["a_table_misses"] == 3      # rows 1..3, each built once
     assert counts["coeff_sum_calls"] == 3
+
+
+def test_default_route_builds_no_table(tmp_path):
+    counts = _traced_counts(tmp_path, "jones", "--knot", "figure-eight", "-n", "3")
+    assert counts["a_table_misses"] == 0
+    assert counts.get("coeff_sum_calls", 0) == 0     # a count never taken is absent
