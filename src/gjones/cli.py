@@ -18,7 +18,8 @@ import argparse
 import json
 import sys
 
-from .cyclo import IntegralityViolation, RouteUnavailable, a_table, check_route, coefficient
+from .cyclo import (IntegralityViolation, RouteUnavailable, a_table, check_route, coefficient,
+                    specialize)
 from .exactalg import LaurentPoly, QFraction
 from .knots import (KnotRecord, MissingHabiro, builtin_knot, generalized_jones,
                     load_knot_file)
@@ -153,6 +154,8 @@ def _cmd_table(args) -> str:
             row = a_table(n)
             for p in range(1, n + 1):
                 f = row.get(p, QFraction.zero())
+                if t1 is not None or t2 is not None:
+                    f = QFraction(specialize(f.num, t1, t2), f.den).reduced()
                 if args.format == "json":
                     rows.append({"n": n, "p": p, "num": f.num.json_terms(),
                                  "den": list(f.den)})

@@ -28,8 +28,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactalg import (LaurentPoly, QFraction, TruncatedSeries, divide_brace, qbrace_poly,
-                       qfrac_sum)
+from .exactalg import (LaurentPoly, PackedBinomial, PackedLayout, QFraction, TruncatedSeries,
+                       divide_brace, qbrace_poly, qfrac_sum)
 from .macdonald import rogers_c
 from .qcombo import alpha_weight, cyclotomic_c, qint
 
@@ -182,8 +182,56 @@ def gamma_lam(N: int, order: int) -> TruncatedSeries:
     return TruncatedSeries([LaurentPoly.const(-1), _x(N), LaurentPoly.const(-1)], order)
 
 
+@lru_cache(maxsize=None)
+def _layout(rows: int, n: int) -> PackedLayout:
+    """The packed layout of the eigen rows N = 1..rows = 2w-1 to layer n and of
+    the w-1 steps of the dual map that ``_sweep`` runs on them.
+
+    The bounds, with R = rows:
+
+    * q: |e_q| <= 2Rn on the layers.  Row N at layer k stays within 2Nk, by
+      induction on k: x_N y_{k-1} moves by 2N, the coupling term
+      (q^N + q^-N){M} y^(M)_{k-1} with M < N reaches N + M + 2M(k-1) < 2Nk,
+      and {2N} at k = 1 lies within 2N.  Dual step i multiplies by
+      q^4i + q^-4i, so after the w-1 steps |e_q| <= 2Rn + 2w(w-1).
+    * t: |e_t1|, |e_t2| <= n.  Every layer step multiplies by at most one
+      power of t1 or t2, and the dual map by none.
+    * coefficients: every coefficient is at most the L1 norm.  Let B_k be
+      the largest L1 norm on layer k.  x_N, q^N + q^-N, t_j - t_j^-1 and {M}
+      each have L1 norm 2, and row N couples to N - 1 <= R - 1 rows, so B_1 = 2
+      ({2N}) and B_k <= 2B_{k-1} + B_{k-2} + 8(R-1)B_{k-1}
+      <= (8R+3) max(B_{k-1}, B_{k-2}).  Hence every layer value has L1 norm
+      at most 2(8R+3)^(n-1).  A dual step forms r_{m+2} + r_{m-2} - (q^4i +
+      q^-4i) r_m, at most 4 times the largest norm, so every value the dual
+      map unpacks has L1 norm at most 2(8R+3)^(n-1) 4^(w-1).
+
+    The same bounds hold at t1 = 1 or t2 = 1, where fewer and smaller
+    multipliers enter the same recurrences.
+    """
+    w = (rows + 1) // 2
+    return PackedLayout(q_bound=2 * rows * n + 2 * w * (w - 1), t_bound=n,
+                        coeff_bound=2 * (8 * rows + 3) ** (n - 1) * 4 ** (w - 1))
+
+
+@lru_cache(maxsize=None)
+def _qsum(m: int) -> PackedBinomial:
+    """q^m + q^-m as a packed multiplier."""
+    return PackedBinomial(LaurentPoly.var("q", m) + LaurentPoly.var("q", -m))
+
+
+@lru_cache(maxsize=None)
+def _row_multipliers(N: int, t1_one: bool) -> tuple[PackedBinomial, ...]:
+    """x_N, {N}, q^N + q^-N and {2N} of eigen row N as packed multipliers."""
+    return (PackedBinomial(_x(N, t1_one)), PackedBinomial(qbrace_poly(N)), _qsum(N),
+            PackedBinomial(qbrace_poly(2 * N)))
+
+
+_PACKED_TBAR1, _PACKED_TBAR2 = PackedBinomial(_TBAR1), PackedBinomial(_TBAR2)
+
+
 def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False):
-    """Yield the lam^k layers {N: y^(N)_k}, k = 0..n, of the eigen rows N = 1..rows.
+    """Yield the lam^k layers {N: y^(N)_k}, k = 0..n, of the eigen rows N = 1..rows,
+    as PackedPoly values of ``_layout(rows, n)``.
 
     Row N solves lam*gamma_N(lam) y^(N) = -{2N} lam - lam sum_{M<N} b_entry(N, M) y^(M),
     so with {N+M} - {N-M} = (q^N + q^-N){M}
@@ -198,9 +246,10 @@ def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False)
     held.  ``t1_one`` / ``t2_one`` set t1 / t2 to 1 on the way: at t2 = 1
     odd rows couple only to odd rows, so the even rows are skipped.
     """
-    zero = LaurentPoly.zero()
+    lay = _layout(rows, n)
+    zero, one = lay.zero(), lay.one()
     index = range(1, rows + 1, 2 if t2_one else 1)
-    x = {N: _x(N, t1_one) for N in index}
+    mult = {N: _row_multipliers(N, t1_one) for N in index}
     coupled = not (t1_one and t2_one)
     prev2 = prev = dict.fromkeys(index, zero)
     yield prev
@@ -208,21 +257,22 @@ def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False)
         cur = {}
         e_sum = [zero, zero]    # indexed by the parity of M
         for N in index:
+            x, brace, qsum, brace2 = mult[N]
             if k < n or N % 2:
-                y = x[N] * prev[N] - prev2[N]
+                y = x * prev[N] - prev2[N]
                 if k == 1:
-                    y = y + qbrace_poly(2 * N)
-                if coupled:
+                    y = y + brace2 * one
+                if coupled and N > 1:      # row 1 couples to no earlier row
                     couple = zero
                     if not t1_one:
-                        couple = couple - _TBAR1 * e_sum[N % 2]
+                        couple = couple - _PACKED_TBAR1 * e_sum[N % 2]
                     if not t2_one:
-                        couple = couple + _TBAR2 * e_sum[1 - N % 2]
+                        couple = couple + _PACKED_TBAR2 * e_sum[1 - N % 2]
                     if not couple.is_zero:
-                        y = y + (LaurentPoly.var("q", N) + LaurentPoly.var("q", -N)) * couple
+                        y = y + qsum * couple
                 cur[N] = y
-            if coupled:
-                e_sum[N % 2] = e_sum[N % 2] + qbrace_poly(N) * prev[N]
+            if coupled and N < index[-1]:   # the last row couples to no later one
+                e_sum[N % 2] = e_sum[N % 2] + brace * prev[N]
         prev2, prev = prev, cur
         yield cur
 
@@ -234,19 +284,20 @@ def _sweep(n: int, width: int, t1_one: bool = False, t2_one: bool = False
     With r_m = y^(m)_n on the odd m, {2} chat[n][1] = r_1, and each step
     r'_m = r_{m+2} + r_{m-2} - (q^4i + q^-4i) r_m, with r_{-1} = -r_1,
     turns {2} chat[n][i] into {2} chat[n][i+1] (the dual of multiplying
-    eigen_product(i) by X^2 + X^-2 - q^4i - q^-4i).  The one division is
-    the exact {2} per coefficient; a remainder raises IntegralityViolation.
+    eigen_product(i) by X^2 + X^-2 - q^4i - q^-4i).  The map runs on packed
+    values; only r_1 is unpacked at each step.  The one division is the
+    exact {2} per coefficient; a remainder raises IntegralityViolation.
     """
     layer = deque(_eigen_layers(2 * width - 1, n, t1_one, t2_one), maxlen=1).pop()
     r = [layer[m] for m in range(1, 2 * width, 2)]
     out = []
     for i in range(1, width + 1):
-        chat = divide_brace(r[0], 2)
+        chat = divide_brace(r[0].unpack(), 2)
         if chat is None:
             raise IntegralityViolation(f"series coefficient (n={n}, i={i}) kept {{2}}")
         out.append(chat)
         if i < width:
-            w = LaurentPoly.var("q", 4 * i) + LaurentPoly.var("q", -4 * i)
+            w = _qsum(4 * i)
             r = [r[j + 1] + (r[j - 1] if j else -r[0]) - w * r[j] for j in range(len(r) - 1)]
     return tuple(out)
 
@@ -258,13 +309,17 @@ _CHAT_ROWS: dict[tuple[int, bool, bool], tuple[LaurentPoly, ...]] = {}
 def _chat_row(n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly, ...]:
     """chat[n][1..w] for some w >= width, specialized as asked.
 
-    A specialized row is the first ``width`` entries of the formal row,
-    specialized, when the formal row is cached wide enough, and comes from
-    a specialized sweep otherwise.
+    The first request for a row takes only ``width`` entries; a later,
+    wider one takes the whole row, so requests in ascending i sweep a row
+    at most twice.  A specialized row is the first entries of the formal
+    row, specialized, when the formal row is cached wide enough, and comes
+    from a specialized sweep otherwise.
     """
     t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
     row = _CHAT_ROWS.get((n, t1_one, t2_one))
     if row is None or len(row) < width:
+        if row is not None:
+            width = n
         formal = _CHAT_ROWS.get((n, False, False))
         if formal is not None and len(formal) >= width:
             row = tuple(specialize(p, t1, t2) for p in formal[:width])
@@ -384,9 +439,9 @@ def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> Laur
     ``route`` is one of ROUTES; every route gives the same polynomial where
     it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
     formal variable) or the int 1.  The default series route divides only
-    by {2}, once per coefficient, and caches the whole row chat[n][1..i];
-    ask for the widest i of a row first.  The det route truncates its
-    series at order n.
+    by {2}, once per coefficient, and caches the row chat[n][1..i]; a
+    later request for a wider i of the same row sweeps the whole row.  The
+    det route truncates its series at order n.
     """
     check_route(route, t1, t2, i)
     if i < 1 or n < i:

@@ -18,6 +18,12 @@ Three layers, each immutable and exact:
     lam^-1 never appears in a stored series: every equation involving
     lam + lam^-1 is multiplied through by lam before it reaches this type.
 
+Beside them, ``PackedPoly`` holds a polynomial in q, t1 and t2 with each
+t-monomial's q-polynomial packed into one integer (Kronecker substitution),
+so that multiplying by a two-term monomial sum (``PackedBinomial``) is two
+integer shifts and an add.  A ``PackedLayout`` fixes the packing from
+bounds its caller proves and is the only code that knows the bit format.
+
 All values are immutable after construction and every operation is a pure
 function, so values may be shared between threads freely.
 
@@ -32,6 +38,7 @@ field raises OverflowError instead of carrying into the next variable.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -408,6 +415,214 @@ def brace_product(ms: Iterable[int], p: LaurentPoly | None = None) -> LaurentPol
     for m in ms:
         out = out * qbrace_poly(m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# q-packed polynomials in q, t1, t2
+# ---------------------------------------------------------------------------
+
+_SH_Q, _SH_T1, _SH_T2 = _SHIFTS[_VIDX["q"]], _SHIFTS[_VIDX["t1"]], _SHIFTS[_VIDX["t2"]]
+_QT_FIELDS = sum(_MASK << s for s in (_SH_Q, _SH_T1, _SH_T2))
+_NOT_QT = ~_QT_FIELDS
+_NOT_QT_OFFSET = _OFFSET & _NOT_QT     # the other fields of a monomial in q, t1, t2
+_LITTLE_ENDIAN = sys.byteorder == "little"     # 64-bit digits can be read as native words
+
+
+class PackedLayout:
+    """The packing of polynomials with |e_q| <= q_bound, |e_t1|, |e_t2| <= t_bound
+    and every coefficient of magnitude at most coeff_bound.
+
+    A value is a dict from a t-monomial to one int, the slice's q-polynomial
+    sum c * 2^(W * (e_q + q_bound)) with balanced digits, |c| < 2^(W-1).
+    W is 64 while coeff_bound < 2^63 and the next multiple of 64 that keeps
+    coeff_bound < 2^(W-1) otherwise.  Integer adds and shifts give exactly
+    the packed image of the true sum or product whatever the size of its
+    digits, so only a value that is unpacked needs to meet the bounds.
+
+    Exponents are checked: a product that could reach below q^-q_bound
+    raises OverflowError before it is formed, and so does unpacking a value
+    with a term above q^q_bound or a t exponent past t_bound.  Digit sizes
+    cannot be checked after the fact, so the caller proves coeff_bound.
+    """
+
+    __slots__ = ("width", "q_bound", "t_bound", "coeff_bound", "_half", "_bias", "_nbytes")
+
+    def __init__(self, q_bound: int, t_bound: int, coeff_bound: int):
+        if not (0 <= q_bound < _EXP_LIMIT and 0 <= t_bound < _EXP_LIMIT and coeff_bound >= 0):
+            raise ValueError("packed layout bounds out of range")
+        width = 64
+        while coeff_bound >= 1 << (width - 1):
+            width += 64
+        self.width, self.q_bound, self.t_bound = width, q_bound, t_bound
+        self.coeff_bound = coeff_bound
+        self._half = 1 << (width - 1)
+        slots = 2 * q_bound + 1
+        self._nbytes = slots * width // 8
+        # each digit + 2^(W-1) is one unsigned W-bit field of value + _bias
+        self._bias = int.from_bytes(self._half.to_bytes(width // 8, "little") * slots, "little")
+
+    def zero(self) -> PackedPoly:
+        return PackedPoly._raw({}, self, self.q_bound)
+
+    def one(self) -> PackedPoly:
+        return PackedPoly._raw({_OFFSET: 1 << self.width * self.q_bound}, self, 0)
+
+    def pack(self, p: LaurentPoly) -> PackedPoly:
+        """``p`` packed; OverflowError if a term does not fit the layout."""
+        out: dict[int, int] = {}
+        low = self.q_bound
+        for key, c in p._t.items():
+            if key & _NOT_QT != _NOT_QT_OFFSET:
+                raise ValueError("only polynomials in q, t1 and t2 can be packed")
+            e_q = ((key >> _SH_Q) & _MASK) - _BIAS
+            tkey = key - (e_q << _SH_Q)
+            if _t_degree(tkey) > self.t_bound:
+                raise OverflowError("t exponent outside the packed layout")
+            if abs(e_q) > self.q_bound or abs(c) >= self._half:
+                raise OverflowError(f"term {c}*q^{e_q} does not fit the packed layout")
+            out[tkey] = out.get(tkey, 0) + (c << self.width * (e_q + self.q_bound))
+            low = min(low, e_q)
+        return PackedPoly._raw({k: v for k, v in out.items() if v}, self, low)
+
+
+def _t_degree(tkey: int) -> int:
+    """max(|e_t1|, |e_t2|) of a packed monomial key."""
+    return max(abs(((tkey >> _SH_T1) & _MASK) - _BIAS), abs(((tkey >> _SH_T2) & _MASK) - _BIAS))
+
+
+class PackedPoly:
+    """A polynomial in q, t1, t2 in the packing of ``layout``; immutable.
+
+    ``_low`` bounds every q exponent from below, so that a product that
+    would leave the layout is refused before a shift could drop its terms.
+    """
+
+    __slots__ = ("_v", "layout", "_low")
+
+    @classmethod
+    def _raw(cls, v: dict[int, int], layout: PackedLayout, low: int) -> PackedPoly:
+        p = cls.__new__(cls)
+        p._v = v
+        p.layout = layout
+        p._low = low
+        return p
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._v
+
+    def unpack(self) -> LaurentPoly:
+        """The LaurentPoly this value packs, with the true bound on its exponents;
+        OverflowError if a term lies outside the layout."""
+        lay = self.layout
+        width, q0, half, bias, nbytes = lay.width, lay.q_bound, lay._half, lay._bias, lay._nbytes
+        words = width == 64 and _LITTLE_ENDIAN
+        step = width // 8
+        out: dict[int, int] = {}
+        e_max = 0
+        for tkey, v in self._v.items():
+            e_t = _t_degree(tkey)
+            if e_t > lay.t_bound:
+                raise OverflowError("t exponent outside the packed layout")
+            try:
+                raw = (v + bias).to_bytes(nbytes, "little")
+            except OverflowError:
+                raise OverflowError("packed value outside its layout") from None
+            lo = ((v & -v).bit_length() - 1) // width     # the lowest nonzero digit
+            hi = min(2 * q0, v.bit_length() // width + 1)
+            if words:
+                digits = memoryview(raw)[8 * lo:8 * (hi + 1)].cast("Q")
+            else:
+                digits = [int.from_bytes(raw[j * step:(j + 1) * step], "little")
+                          for j in range(lo, hi + 1)]
+            base = tkey + ((lo - q0) << _SH_Q)
+            top = 0
+            for j, d in enumerate(digits):
+                if d != half:
+                    out[base + (j << _SH_Q)] = d - half
+                    top = j
+            e_max = max(e_max, e_t, q0 - lo, lo + top - q0)
+        return LaurentPoly._raw(out, e_max)
+
+    def _merge(self, other: PackedPoly, sign: int) -> PackedPoly:
+        if other.layout is not self.layout:
+            raise ValueError("packed values of different layouts")
+        out = dict(self._v)
+        get = out.get
+        for k, v in other._v.items():
+            s = get(k, 0) + v if sign > 0 else get(k, 0) - v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return PackedPoly._raw(out, self.layout, min(self._low, other._low))
+
+    def __add__(self, other: PackedPoly) -> PackedPoly:
+        if not other._v and other.layout is self.layout:
+            return self
+        return self._merge(other, 1)
+
+    def __sub__(self, other: PackedPoly) -> PackedPoly:
+        if not other._v and other.layout is self.layout:
+            return self
+        return self._merge(other, -1)
+
+    def __neg__(self) -> PackedPoly:
+        return PackedPoly._raw({k: -v for k, v in self._v.items()}, self.layout, self._low)
+
+
+class PackedBinomial:
+    """A sum of two +1 / -1 monomials in q, t1, t2 that multiplies PackedPoly
+    values of any layout: each term is a t-key offset, a q shift and a
+    negation flag, and ``_down`` is the lower of the two q shifts.
+    """
+
+    __slots__ = ("_terms", "_down")
+
+    def __init__(self, p: LaurentPoly):
+        if len(p._t) != 2:
+            raise ValueError("a packed multiplier has exactly two terms")
+        terms = []
+        for key, c in sorted(p._t.items()):
+            if c not in (1, -1) or key & _NOT_QT != _NOT_QT_OFFSET:
+                raise ValueError("packed multiplier terms are +1 or -1 times a monomial "
+                                 "in q, t1 and t2")
+            e_q = ((key >> _SH_Q) & _MASK) - _BIAS
+            terms.append((key - _OFFSET - (e_q << _SH_Q), e_q, c < 0))
+        self._terms = tuple(terms)
+        self._down = terms[0][1]     # terms sort by their q exponent first
+
+    def __mul__(self, other: PackedPoly) -> PackedPoly:
+        if not isinstance(other, PackedPoly):
+            return NotImplemented
+        lay = other.layout
+        low = other._low + self._down
+        if low < -lay.q_bound:
+            raise OverflowError(f"product reaches q^{low}, below the packed layout")
+        # every term keeps e_q + q_bound >= 0, so each right shift below is exact
+        width = lay.width
+        (d1, e1, neg1), (d2, e2, neg2) = self._terms
+        s1, s2 = width * e1, width * e2
+        out: dict[int, int] = {}
+        if d1 == d2:     # both terms move the same t-monomial: one slice out per slice in
+            for k, v in other._v.items():
+                a = v << s1 if s1 >= 0 else v >> -s1
+                b = v << s2 if s2 >= 0 else v >> -s2
+                s = a - b if neg1 != neg2 else a + b
+                if s:
+                    out[k + d1] = -s if neg1 else s
+        else:
+            get = out.get
+            pair = ((d1, s1, neg1), (d2, s2, neg2))
+            for k, v in other._v.items():
+                for d, sh, neg in pair:
+                    a = v << sh if sh >= 0 else v >> -sh
+                    s = get(k + d, 0) - a if neg else get(k + d, 0) + a
+                    if s:
+                        out[k + d] = s
+                    else:
+                        del out[k + d]
+        return PackedPoly._raw(out, lay, low)
 
 
 class QFraction:

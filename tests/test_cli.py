@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from gjones.cli import main
+from gjones.cyclo import a_table
+from gjones.exactalg import QFraction
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -143,6 +145,21 @@ def test_table_commands(capsys):
     data = json.loads(out)
     assert data["rows"][0] == {"n": 1, "p": 1, "num": [[0, 0, 0, 0, 0, 0, 0, 1]],
                                "den": []}
+
+
+def test_table_a_honours_specialization(capsys):
+    code, out, _ = run(capsys, ["table", "-n", "4", "--what", "a", "--t1", "1", "--t2", "1"])
+    assert code == 0
+    for line in out.strip().splitlines():     # only a[n][n] = 1 survives at t1 = t2 = 1
+        label, value = line.split(" = ")
+        n, p = map(int, label[2:-1].split(","))
+        assert value == ("1" if p == n else "0"), line
+    code, out, _ = run(capsys, ["table", "-n", "3", "--what", "a", "--t1", "1"])
+    assert code == 0
+    a31 = a_table(3)[1]
+    want = QFraction(a31.num.substitute("t1", 1), a31.den).reduced().render()
+    assert f"a[3,1] = {want}" in out.splitlines()
+    assert "t1" not in out
 
 
 def test_verify_suite_routes(capsys):

@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +10,7 @@ from gjones.cli import main
 from gjones.cyclo import (ROUTES, RouteUnavailable, _eigen_layers, a_ratio, a_table, b_entry,
                           coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
                           coefficient, gamma_lam, specialize)
-from gjones.exactalg import LaurentPoly as L, QFraction as F, qbrace_poly
+from gjones.exactalg import LaurentPoly as L, QFraction as F, divide_brace, qbrace_poly
 from gjones.knots import figure_eight, generalized_jones, universal_eval
 from gjones.qcombo import cyclotomic_c
 
@@ -134,8 +138,12 @@ def test_b_entry_parity_selector():
         b_entry(1, 1)
 
 
+def unpacked_layers(*args, **kwargs):
+    return [{N: y.unpack() for N, y in layer.items()} for layer in _eigen_layers(*args, **kwargs)]
+
+
 def test_eigen_layers_structure():
-    layers = list(_eigen_layers(3, 6))      # layer 6, the last, holds the odd rows only
+    layers = unpacked_layers(3, 6)      # layer 6, the last, holds the odd rows only
     assert sorted(layers[6]) == [1, 3]
     # layer 0 is the constant term of every row
     assert all(y.is_zero for y in layers[0].values())
@@ -143,11 +151,53 @@ def test_eigen_layers_structure():
     assert layers[1][1] == qbrace_poly(2)
     # at t1 = t2 = 1 the N-th row has coefficients {2Nk}, specialized late or
     # early (which skips the even rows)
-    early = list(_eigen_layers(3, 5, t1_one=True, t2_one=True))
+    early = unpacked_layers(3, 5, t1_one=True, t2_one=True)
     for k in range(1, 6):
         for N in (1, 2, 3):
             assert spec11(layers[k][N]) == qbrace_poly(2 * N * k), (k, N)
         assert early[k] == {1: qbrace_poly(2 * k), 3: qbrace_poly(6 * k)}, k
+
+
+def test_layout_bounds_dominate_the_sweep():
+    # every value that could be unpacked: each layer of rows 1..2w-1 and each
+    # r of the dual map, which for width w is a prefix of the full-width one
+    for n in range(1, 8):
+        layers = unpacked_layers(2 * n - 1, n)
+        r = [layers[n][m] for m in range(1, 2 * n, 2)]
+        duals = [r]
+        for i in range(1, n):
+            w = L.var("q", 4 * i) + L.var("q", -4 * i)
+            r = [r[j + 1] + (r[j - 1] if j else -r[0]) - w * r[j] for j in range(len(r) - 1)]
+            duals.append(r)
+        for width in range(1, n + 1):
+            lay = cyclo._layout(2 * width - 1, n)
+            values = [y for layer in layers for N, y in layer.items() if N < 2 * width]
+            values += [y for i, r in enumerate(duals[:width]) for y in r[:width - i]]
+            for y in values:
+                for mono, c in y.terms_sorted():
+                    assert abs(mono[0]) <= lay.q_bound, (n, width)
+                    assert max(abs(mono[1]), abs(mono[2])) <= lay.t_bound, (n, width)
+                    assert abs(c) <= lay.coeff_bound, (n, width)
+            assert cyclo._sweep(n, width) == tuple(divide_brace(d[0], 2) for d in duals[:width])
+
+
+def test_wide_layout_rows_match_the_reference():
+    # rows 9 and 10 pack their coefficients 128 bits wide; check every entry
+    # at one point of GF(2^61 - 1) against the independent evaluation
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", pathlib.Path(__file__).parent.parent / "perfbench" / "reference.py")
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    rng = random.Random(20190811)
+    pt = ref.Point(rng.randrange(2, ref.P - 1), rng.randrange(2, ref.P - 1),
+                   rng.randrange(2, ref.P - 1))
+    assert pt.braces_nonzero(4 * 10)
+    table = ref.Reference(pt, 10)
+    for n in (9, 10):
+        assert cyclo._layout(2 * n - 1, n).width == 128
+        for i, chat in enumerate(cyclo._sweep(n, n), 1):
+            got = pt.eval({mono[:3]: c for mono, c in chat.terms_sorted()})
+            assert got == table.chat(n, i), (n, i)
 
 
 def test_series_route_matches_sum_route():
@@ -180,6 +230,12 @@ def test_each_colour_swept_once(monkeypatch, capsys):
         assert main(["table", "-n", "6", "--what", "coeff", *spec]) == 0
         assert swept == [1, 2, 3, 4, 5, 6], spec
     capsys.readouterr()
+    # ascending i: the first request sweeps its width, the next one the whole row
+    swept.clear()
+    monkeypatch.setattr(cyclo, "_CHAT_ROWS", {})
+    for i in range(1, 8):
+        coefficient(7, i)
+    assert swept == [7, 7]
 
 
 @settings(max_examples=40, deadline=None)

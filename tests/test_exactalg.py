@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjones.exactalg import (LaurentPoly, NonUnitConstantTerm, QFraction,
-                             TruncatedSeries, brace_product, divide_brace,
+from gjones.exactalg import (LaurentPoly, NonUnitConstantTerm, PackedBinomial, PackedLayout,
+                             QFraction, TruncatedSeries, brace_product, divide_brace,
                              divide_one_minus_sq, qbrace_poly, qfrac_sum)
 
 L = LaurentPoly
@@ -304,3 +304,90 @@ def test_min_order_semantics():
 def test_invert_round_trip(tail):
     s = TruncatedSeries([1] + tail, 5)
     assert (s * s.invert()) == TruncatedSeries.one(5)
+
+
+# -- q-packed polynomials -------------------------------------------------------
+
+QB, TB = 6, 3       # the q and t exponent bounds of the test layouts
+LAYOUTS = {64: PackedLayout(QB, TB, (1 << 63) - 1), 128: PackedLayout(QB, TB, 1 << 63)}
+
+
+def packable(width):
+    """Polynomials in q, t1, t2 inside LAYOUTS[width], digits up to the largest."""
+    top = (1 << (width - 1)) - 1
+    coeffs = st.one_of(st.integers(-5, 5), st.sampled_from((top, -top)))
+    term = st.tuples(st.integers(-QB, QB), st.integers(-TB, TB), st.integers(-TB, TB), coeffs)
+
+    def build(spec):
+        return L({(e_q, e_1, e_2, 0, 0, 0, 0, 0, 0): c for e_q, e_1, e_2, c in spec})
+    return st.lists(term, max_size=8).map(build)
+
+
+def true_bound(p):
+    return max((abs(e) for mono, _ in p.terms_sorted() for e in mono), default=0)
+
+
+def test_layout_width_follows_the_coefficient_bound():
+    assert [PackedLayout(1, 1, b).width for b in (0, (1 << 63) - 1, 1 << 63,
+                                                   (1 << 127) - 1, 1 << 127)] == [
+        64, 64, 128, 128, 192]
+    with pytest.raises(ValueError):
+        PackedLayout(-1, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(LAYOUTS)))
+def test_pack_round_trip(data, width):
+    lay = LAYOUTS[width]
+    p = data.draw(packable(width))
+    back = lay.pack(p).unpack()
+    assert back == p
+    assert back._e == true_bound(p)
+
+
+# each multiplier moves exponents by at most 1, so values within QB - 1 / TB - 1 stay inside
+MULTIPLIERS = [L.var("q") + L.var("q", -1), L.var("q") - L.var("q", -1),
+               -L.var("q") - L.var("q", -1),
+               L.var("t1") - L.var("t1", -1), L.term(1, q=1, t1=-1) + L.term(1, q=-1, t1=1),
+               -L.var("t2") - L.term(1, q=-1), L.term(-1, q=1, t2=1) + L.term(1, q=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(vars=("q", "t1", "t2"), max_terms=6, exp=2, coeff=50),
+       polys(vars=("q", "t1", "t2"), max_terms=6, exp=2, coeff=50),
+       st.sampled_from(MULTIPLIERS), st.sampled_from(sorted(LAYOUTS)))
+def test_packed_ops_match_laurent_ops(a, b, m, width):
+    lay = LAYOUTS[width]
+    pa, pb = lay.pack(a), lay.pack(b)
+    assert (pa + pb).unpack() == a + b
+    assert (pa - pb).unpack() == a - b
+    assert (-pa).unpack() == -a
+    assert (PackedBinomial(m) * pa).unpack() == m * a
+    assert (pa - pa).is_zero and (pa + lay.zero()).unpack() == a
+    assert (PackedBinomial(m) * lay.one()).unpack() == m
+
+
+@pytest.mark.parametrize("width", sorted(LAYOUTS))
+def test_unpack_outside_the_layout_raises(width):
+    lay = LAYOUTS[width]
+    top = (1 << (width - 1)) - 1
+    up = PackedBinomial(L.var("q") + L.var("q", -1))
+    with pytest.raises(OverflowError):         # q^(QB+1) leaves the slots
+        (up * lay.pack(L.var("q", QB))).unpack()
+    with pytest.raises(OverflowError):         # q^-(QB+1) is refused before a shift drops it
+        up * lay.pack(L.var("q", -QB) + L.one())
+    with pytest.raises(OverflowError):         # the top digit carries out
+        edge = lay.pack(L.term(top, q=QB))
+        (edge + edge).unpack()
+    with pytest.raises(OverflowError):         # t1^(TB+1)
+        (PackedBinomial(L.var("t1") - L.var("t1", -1)) * lay.pack(L.var("t1", TB))).unpack()
+    with pytest.raises(OverflowError):         # a digit that does not fit
+        lay.pack(L.const(top + 1))
+    with pytest.raises(OverflowError):
+        lay.pack(L.var("q", QB + 1))
+    with pytest.raises(ValueError):            # another layout
+        LAYOUTS[64 if width == 128 else 128].pack(L.one()) - lay.pack(L.one())
+    with pytest.raises(ValueError):            # only q, t1, t2
+        lay.pack(L.var("U"))
+    with pytest.raises(ValueError):            # a multiplier has two +1 / -1 terms
+        PackedBinomial(L.var("q") + L.term(2, q=-1))
