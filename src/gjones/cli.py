@@ -154,8 +154,7 @@ def _cmd_table(args) -> str:
             row = a_table(n)
             for p in range(1, n + 1):
                 f = row.get(p, QFraction.zero())
-                if t1 is not None or t2 is not None:
-                    f = QFraction(specialize(f.num, t1, t2), f.den).reduced()
+                f = QFraction(specialize(f.num, t1, t2), f.den).reduced()
                 if args.format == "json":
                     rows.append({"n": n, "p": p, "num": f.num.json_terms(),
                                  "den": list(f.den)})

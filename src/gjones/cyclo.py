@@ -9,6 +9,18 @@ from a[1][1] = 1, with a[n][0] = 0 and a[n][p] = 0 for p > n.  The same
 rows come out of the Dunkl-operator expansion in ``daha``; the two routes
 cross-check each other.
 
+Row n is held over one denominator, D_n = {3}{5}...{2n-1}, as the integer
+polynomials N[n][p] = D_n a[n][p].  With A(k) = u_k / {|2k-1|}, the row step
+
+    N[n+1][p] = {2n+1} S_p / ({2p-1}{2p+1}) - {2n+1}{2n-1} N[n-1][p],
+    S_p = {2p+1} u_p N[n][p-1] + ({2p+1} u_p - {2p-1} u_{p+1}) N[n][p]
+          + {2p-1} u_{-p} N[n][p+1]
+
+divides exactly (a remainder refutes D_n).  As {2(p-j)}{2(p+j)} = w_p - w_j,
+w_m = q^4m + q^-4m, c[p][i] = ({2p}/{2}) prod_{j<i} (w_p - w_j); the sum route
+starts from b_p = (-1)^(n+p) {2p} N[n][p], takes chat[n][i] = sum_p b_p /
+(D_n {2}) and moves to i + 1 by the Newton step b_p -> b_p (w_p - w_i), p > i.
+
 Generalized cyclotomic coefficients are then available by four routes:
 
 * ``coeff_series``     lam-series of a lower-triangular solve, swept layer by
@@ -29,9 +41,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .exactalg import (LaurentPoly, PackedBinomial, PackedLayout, QFraction, TruncatedSeries,
-                       divide_brace, qbrace_poly, qfrac_sum)
+                       divide_brace, qbrace_poly)
 from .macdonald import rogers_c
-from .qcombo import alpha_weight, cyclotomic_c, qint
+from .qcombo import alpha_weight, cyclotomic_c, qint, w_poly
 
 
 class IntegralityViolation(ArithmeticError):
@@ -93,54 +105,67 @@ def a_ratio(p: int) -> QFraction:
     return QFraction(num, (2 * p - 1,))
 
 
+def row_braces(n: int) -> tuple[int, ...]:
+    """The braces of D_n = {3}{5}...{2n-1}, the one denominator of row n of the table."""
+    return tuple(range(3, 2 * n, 2))
+
+
 @lru_cache(maxsize=None)
 def a_table(n: int) -> Mapping[int, QFraction]:
     """Row n of the table as a read-only mapping {p: a[n][p]} of its nonzero
-    entries, 1 <= p <= n.
+    entries, 1 <= p <= n, each held as QFraction(N[n][p], D_n).
 
-    Rows are cached for the life of the process and row n is built from
-    rows n-1 and n-2, so the table grows on demand and no row is built twice.
+    Rows are cached for the life of the process and row n is built from rows
+    n-1 and n-2 by the row step of the module docstring, so the table grows on
+    demand and no row is built twice; a remainder raises IntegralityViolation.
     """
     if n < 1:
         raise ValueError("a_table requires n >= 1")
     if n == 1:
         return MappingProxyType({1: QFraction.one()})
-    prev = a_table(n - 1)
-    below = a_table(n - 2) if n > 2 else {}
+    prev, below = a_table(n - 1), a_table(n - 2) if n > 2 else {}
+    zero, top = QFraction.zero(), qbrace_poly(2 * n - 1)     # D_n = D_{n-1} {2n-1}
     cur: dict[int, QFraction] = {}
     for p in range(1, n + 1):
-        terms = []
+        lo, hi = qbrace_poly(2 * p - 1), qbrace_poly(2 * p + 1)
+        s = LaurentPoly.zero()      # S_p, over the entries row n-1 has
         if p - 1 in prev:
-            terms.append(a_ratio(p) * prev[p - 1])
+            s = s + hi * a_ratio(p).num * prev[p - 1].num
         if p in prev:
-            terms.append((a_ratio(p) - a_ratio(p + 1)) * prev[p])
+            s = s + (hi * a_ratio(p).num - lo * a_ratio(p + 1).num) * prev[p].num
         if p + 1 in prev:
-            terms.append(a_ratio(-p) * prev[p + 1])
-        if p in below:
-            terms.append(-below[p])
-        acc = qfrac_sum(terms).reduced()
-        if not acc.is_zero:
-            cur[p] = acc
+            s = s + lo * a_ratio(-p).num * prev[p + 1].num
+        braces = {2 * p - 1, 2 * p + 1} - {2 * n - 1}      # {2n-1} may cancel a divisor
+        num = integral(QFraction(top * s if len(braces) == 2 else s, braces),
+                       f"table entry (n={n}, p={p})")
+        num = num - top * qbrace_poly(2 * n - 3) * below.get(p, zero).num
+        if not num.is_zero:
+            cur[p] = QFraction(num, row_braces(n))
     return MappingProxyType(cur)
 
 
 @lru_cache(maxsize=None)
+def _sum_row(n: int) -> tuple[LaurentPoly, ...]:
+    """chat[n][1..n] by the Newton step of the module docstring over row n."""
+    b = {p: f.num * qbrace_poly(2 * p) * (-1) ** (n + p) for p, f in a_table(n).items()}
+    out = []
+    for i in range(1, n + 1):
+        total = sum(b.values(), LaurentPoly.zero())
+        out.append(integral(QFraction(total, (2,) + row_braces(n)), f"coefficient (n={n}, i={i})"))
+        b = {p: v * (w_poly(p) - w_poly(i)) for p, v in b.items() if p > i}
+    return tuple(out)
+
+
 def coeff_sum(n: int, i: int) -> LaurentPoly:
     """Generalized cyclotomic coefficient via sum_{p=i}^{n} (-1)^(n+p) a[n][p] c[p][i-1].
 
-    The classical coefficients vanish for p < i, so the sum starts at i.
-    The result must reduce to an integer Laurent polynomial; anything else
-    signals a bug and raises IntegralityViolation.
+    The classical coefficients vanish for p < i, so the sum starts at i.  The
+    row chat[n][1..n] is made and cached at once by the Newton step of the
+    module docstring: one sum over D_n {2} per coefficient, divided exactly.
     """
     if i < 1 or n < i:
         raise IndexError(f"coeff_sum out of range: n={n}, i={i}")
-    parts = []
-    for p, a in a_table(n).items():
-        if p < i:
-            continue
-        term = a * cyclotomic_c(p, i)
-        parts.append(term if (n + p) % 2 == 0 else -term)
-    return integral(qfrac_sum(parts), f"coefficient (n={n}, i={i})")
+    return _sum_row(n)[i - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import (RouteUnavailable, a_table, check_route, coefficient, integral,
-                    specialize)
-from .exactalg import LaurentPoly, qfrac_sum
+                    row_braces, specialize)
+from .exactalg import LaurentPoly, QFraction
 from .qcombo import cyclotomic_c, qint
 
 
@@ -183,15 +183,15 @@ def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None) -> LaurentPoly:
 
     Agrees exactly with ``generalized_jones``; the classical polynomials
     J_p are assembled before the transition weights are applied, so the
-    two computations share only the table itself.
+    two computations share only the table itself.  One polynomial sum over the
+    numerators N[n][p] = D_n a[n][p] is divided exactly by D_n, or raises IntegralityViolation.
     """
     if n < 0:
         raise ValueError("color n must be >= 0")
     check_route("sum", t1, t2)
     if n == 0:
         return LaurentPoly.zero()
-    parts = []
-    for p, a in a_table(n).items():
-        term = a * classical_jones(knot, p)
-        parts.append(term if (n + p) % 2 == 0 else -term)
-    return specialize(integral(qfrac_sum(parts), f"universal evaluation at n={n}"), t1, t2)
+    total = sum((a.num * classical_jones(knot, p) * (-1) ** (n + p)
+                 for p, a in a_table(n).items()), LaurentPoly.zero())
+    poly = integral(QFraction(total, row_braces(n)), f"universal evaluation at n={n}")
+    return specialize(poly, t1, t2)

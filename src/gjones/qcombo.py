@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import LaurentPoly, QFraction, qbrace_poly
+from .exactalg import LaurentPoly
 
 
 def _check_base(base: int) -> None:
@@ -74,18 +74,24 @@ def qpochhammer(a_qexp: int, base_exp: int, n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def w_poly(m: int) -> LaurentPoly:
+    """w_m = q^4m + q^-4m, so that {2(p-j)}{2(p+j)} = w_p - w_j."""
+    return LaurentPoly.var("q", 4 * m) + LaurentPoly.var("q", -4 * m)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_c(n: int, i: int) -> LaurentPoly:
     """Classical cyclotomic coefficient c_{n,i-1}, 1 <= i <= n.
 
-    The product prod_{p=n-i+1}^{n+i-1} {2p} divided by {2}; the division is
-    always exact (the factor {2n} alone is a multiple of {2}).
+    The product prod_{p=n-i+1}^{n+i-1} {2p} divided by {2}, built without
+    division as [n] in base 2 (= {2n}/{2}) times prod_{j<i} (w_n - w_j).
     """
     if i < 1 or i > n:
         raise IndexError(f"cyclotomic_c out of range: n={n}, i={i}")
-    num = LaurentPoly.one()
-    for p in range(n - i + 1, n + i):
-        num = num * qbrace_poly(2 * p)
-    return QFraction(num, (2,)).as_poly()
+    out = qint(n, 2)
+    for j in range(1, i):
+        out = out * (w_poly(n) - w_poly(j))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
 from gjones.cli import main
-from gjones.cyclo import a_table
-from gjones.exactalg import QFraction
+from gjones.cyclo import a_table, row_braces, specialize
+from gjones.exactalg import JSON_VARS, LaurentPoly, QFraction
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -160,6 +161,29 @@ def test_table_a_honours_specialization(capsys):
     want = QFraction(a31.num.substitute("t1", 1), a31.den).reduced().render()
     assert f"a[3,1] = {want}" in out.splitlines()
     assert "t1" not in out
+
+
+@pytest.mark.parametrize("spec", [[], ["--t1", "1"], ["--t2", "1"]],
+                         ids=["formal", "t1=1", "t2=1"])
+def test_table_a_prints_each_value_over_part_of_d_n(capsys, spec):
+    # each entry prints as its value over D_n, reduced: the same value as the
+    # table's, over a sub-multiset of D_n, and the text line renders the
+    # fraction that the JSON row holds
+    kw = {spec[0][2:]: 1} if spec else {}
+    _, out, _ = run(capsys, ["table", "-n", "6", "--what", "a", *spec, "--format", "json"])
+    _, text, _ = run(capsys, ["table", "-n", "6", "--what", "a", *spec])
+    rows, lines = json.loads(out)["rows"], text.splitlines()
+    assert len(rows) == len(lines) == 21
+    for row, line in zip(rows, lines):
+        n, p = row["n"], row["p"]
+        num = LaurentPoly.zero()
+        for *exps, c in row["num"]:
+            num = num + LaurentPoly.term(c, **dict(zip(JSON_VARS, exps)))
+        printed = QFraction(num, row["den"])
+        a = a_table(n).get(p, QFraction.zero())
+        assert printed == QFraction(specialize(a.num, **kw), a.den), (n, p)
+        assert not Counter(row["den"]) - Counter(row_braces(n)), (n, p)
+        assert line == f"a[{n},{p}] = {printed.render()}"
 
 
 def test_verify_suite_routes(capsys):

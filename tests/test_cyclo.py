@@ -1,15 +1,16 @@
 import importlib.util
 import pathlib
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjones import cyclo, daha
+from gjones import cyclo, daha, knots
 from gjones.cli import main
-from gjones.cyclo import (ROUTES, RouteUnavailable, _eigen_layers, a_ratio, a_table, b_entry,
-                          coeff_det_series, coeff_series, coeff_sum, coeff_t2one,
-                          coefficient, gamma_lam, specialize)
+from gjones.cyclo import (ROUTES, IntegralityViolation, RouteUnavailable, _eigen_layers, a_ratio,
+                          a_table, b_entry, coeff_det_series, coeff_series, coeff_sum,
+                          coeff_t2one, coefficient, gamma_lam, specialize)
 from gjones.exactalg import LaurentPoly as L, QFraction as F, divide_brace, qbrace_poly
 from gjones.knots import figure_eight, generalized_jones, universal_eval
 from gjones.qcombo import cyclotomic_c
@@ -63,7 +64,7 @@ def test_rows_collapse_at_t_one():
 
 def test_table_grows_once():
     a_table.cache_clear()
-    coeff_sum.cache_clear()
+    cyclo._sum_row.cache_clear()
     for i in range(1, 9):
         coeff_sum(8, i)
     assert a_table.cache_info().misses == 8     # rows 1..8, each built once
@@ -93,6 +94,74 @@ def test_table_matches_operator_rows():
         row = daha.transition_row(n)
         for p in range(1, n + 1):
             assert row.get(p, F.zero()) == a_table(n).get(p, F.zero()), (n, p)
+
+
+def reference_at_a_point(nmax):
+    """perfbench/reference.py, loaded read-only by path, with its own table to
+    ``nmax`` at a seeded point of GF(2^61 - 1) where no brace used vanishes."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", pathlib.Path(__file__).parent.parent / "perfbench" / "reference.py")
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    rng = random.Random(20190811)
+    pt = ref.Point(rng.randrange(2, ref.P - 1), rng.randrange(2, ref.P - 1),
+                   rng.randrange(2, ref.P - 1))
+    assert pt.braces_nonzero(4 * nmax)
+    return ref, pt, ref.Reference(pt, nmax)
+
+
+def test_table_rows_match_the_reference():
+    # every entry is held over D_n, and equals the independent table's value
+    ref, pt, table = reference_at_a_point(10)
+    for n in range(1, 11):
+        row = a_table(n)
+        for p in range(1, n + 1):
+            f = row.get(p, F.zero())
+            assert f.is_zero or f.den == cyclo.row_braces(n), (n, p)
+            den = 1
+            for m in f.den:
+                den = den * pt.brace(m) % ref.P
+            got = pt.eval({mono[:3]: c for mono, c in f.num.terms_sorted()})
+            assert got == den * table.a[n][p] % ref.P, (n, p)
+
+
+@pytest.fixture
+def broken_row(monkeypatch):
+    """Serve row 4 of the table with one term added to N[4][2], in place of
+    the cached row; return the real ``a_table``, which has no row 5 yet.
+
+    The perturbation reaches N[5][3] as {9} u_3 / {5}, which is no
+    polynomial (a perturbation of N[4][1] would reach row 5 only over {3},
+    which divides {9}, and pass the row step)."""
+    real = cyclo.a_table
+    real.cache_clear()
+    cyclo._sum_row.cache_clear()
+    row = dict(real(4))
+    row[2] = F(row[2].num + L.one(), row[2].den)
+
+    def served(n):
+        return MappingProxyType(row) if n == 4 else real(n)
+
+    monkeypatch.setattr(cyclo, "a_table", served)
+    monkeypatch.setattr(knots, "a_table", served)
+    yield real
+    real.cache_clear()
+    cyclo._sum_row.cache_clear()
+
+
+def test_broken_row_fails_the_next_row_step(broken_row):
+    with pytest.raises(IntegralityViolation):
+        broken_row(5)
+
+
+def test_broken_row_fails_the_sum_route(broken_row):
+    with pytest.raises(IntegralityViolation):
+        coeff_sum(4, 1)
+
+
+def test_broken_row_fails_universal_eval(broken_row):
+    with pytest.raises(IntegralityViolation):
+        universal_eval(figure_eight(), 4)
 
 
 # -- the weighted sum -----------------------------------------------------------
@@ -184,15 +253,7 @@ def test_layout_bounds_dominate_the_sweep():
 def test_wide_layout_rows_match_the_reference():
     # rows 9 and 10 pack their coefficients 128 bits wide; check every entry
     # at one point of GF(2^61 - 1) against the independent evaluation
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_reference", pathlib.Path(__file__).parent.parent / "perfbench" / "reference.py")
-    ref = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ref)
-    rng = random.Random(20190811)
-    pt = ref.Point(rng.randrange(2, ref.P - 1), rng.randrange(2, ref.P - 1),
-                   rng.randrange(2, ref.P - 1))
-    assert pt.braces_nonzero(4 * 10)
-    table = ref.Reference(pt, 10)
+    ref, pt, table = reference_at_a_point(10)
     for n in (9, 10):
         assert cyclo._layout(2 * n - 1, n).width == 128
         for i, chat in enumerate(cyclo._sweep(n, n), 1):
