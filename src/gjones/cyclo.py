@@ -403,7 +403,7 @@ def coeff_det_series(i: int, order: int) -> TruncatedSeries:
     rows: list[list[TruncatedSeries]] = []
     top = [zero] * size
     for k in range(1, i + 1):
-        top[2 * k - 1] = TruncatedSeries.constant(alpha_weight(i, k), order)
+        top[2 * k - 1] = TruncatedSeries([alpha_weight(i, k)], order)
     rows.append(top)
     for N in range(1, size):
         row = [zero] * size
@@ -478,5 +478,5 @@ def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> Laur
     elif route == "macdonald":
         poly = coeff_t2one(n, i)
     else:
-        poly = integral(coeff_det_series(i, n).coeff(n), f"det coefficient (n={n}, i={i})")
+        poly = coeff_det_series(i, n).coeff(n)
     return specialize(poly, t1, t2)

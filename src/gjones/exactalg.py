@@ -1,6 +1,6 @@
 """Exact sparse arithmetic substrate.
 
-Three layers, each immutable and exact:
+Three value types, each immutable and exact:
 
 ``LaurentPoly``
     Sparse Laurent polynomials with arbitrary-precision integer
@@ -11,10 +11,13 @@ Three layers, each immutable and exact:
     {m} = q^m - q^-m.  These are the only denominators the library ever
     needs, so no general rational-function field is built; reduction
     removes brace factors by exact trial division and never changes the
-    value.
+    value.  A fraction equals, and hashes as, the int or LaurentPoly of
+    the same value.
 
 ``TruncatedSeries``
-    Power series in lam to a fixed order with QFraction coefficients.
+    Power series in lam to a fixed order with LaurentPoly coefficients:
+    every series the library builds is integral, so no brace denominator
+    enters one, and inversion needs a +-1 monomial as constant term.
     lam^-1 never appears in a stored series: every equation involving
     lam + lam^-1 is multiplied through by lam before it reaches this type.
 
@@ -252,13 +255,7 @@ class LaurentPoly:
         return self._t == other._t
 
     def __hash__(self) -> int:
-        # a constant hashes as its int, so hashing agrees with == on ints
-        t = self._t
-        if not t:
-            return 0
-        if len(t) == 1 and _OFFSET in t:
-            return hash(t[_OFFSET])
-        return hash(frozenset(t.items()))
+        return hash(_value_at_hash_point(self))
 
     # -- substitution -------------------------------------------------
 
@@ -346,6 +343,16 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
+
+
+def _value_at_hash_point(p: LaurentPoly) -> Fraction:
+    """The exact value of ``p`` at ``_HASH_POINT``, which every exact type hashes."""
+    val = Fraction(0)
+    for mono, c in p.terms_sorted():
+        for v, e in zip(_HASH_POINT, mono):
+            c *= Fraction(v) ** e
+        val += c
+    return val
 
 
 def qbrace_poly(m: int) -> LaurentPoly:
@@ -687,7 +694,7 @@ class QFraction:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, (int, LaurentPoly)):
             other = QFraction(other)
         if not isinstance(other, QFraction):
             return NotImplemented
@@ -697,13 +704,8 @@ class QFraction:
 
     def __hash__(self) -> int:
         # reduced() is not canonical (({9}/{3})/{9} stays as it is while
-        # equal to 1/{3}), so hash the exact value at a point where no
-        # brace vanishes
-        val = Fraction(0)
-        for mono, c in self.num.terms_sorted():
-            for v, e in zip(_HASH_POINT, mono):
-                c *= Fraction(v) ** e
-            val += c
+        # equal to 1/{3}), so hash the exact value
+        val = _value_at_hash_point(self.num)
         for m in self.den:
             val /= Fraction(2) ** m - Fraction(2) ** -m
         return hash(val)
@@ -737,18 +739,6 @@ class QFraction:
         if name == "q" and self.den:
             raise ValueError("cannot substitute q while brace denominators remain")
         return QFraction(self.num.substitute(name, image), self.den)
-
-    def inverse_unit(self) -> QFraction:
-        """Inverse of a unit: single-monomial numerator with coefficient +-1."""
-        r = self.reduced()
-        try:
-            mono, c = r.num.as_single_term()
-        except ValueError:
-            raise NonUnitConstantTerm(f"not a unit: {r}") from None
-        if c not in (1, -1):
-            raise NonUnitConstantTerm(f"coefficient {c} is not invertible over Z")
-        inv = LaurentPoly({tuple(-e for e in mono): c})
-        return QFraction(brace_product(r.den, inv))
 
     def render(self, fmt: str = "text") -> str:
         if not self.den:
@@ -797,21 +787,30 @@ def qfrac_sum(terms: Iterable[QFraction]) -> QFraction:
     return QFraction(acc, lcm)
 
 
+def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """Sum of the products of paired polynomials, skipping zero factors."""
+    return sum((a * b for a, b in zip(xs, ys) if a._t and b._t), LaurentPoly.zero())
+
+
 class TruncatedSeries:
-    """Power series in lam, truncated at a fixed order, QFraction coefficients."""
+    """Power series in lam, truncated at a fixed order, LaurentPoly coefficients;
+    an int coefficient is a constant, any other type raises TypeError."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[QFraction | LaurentPoly | int], order: int):
+    def __init__(self, coeffs: Iterable[LaurentPoly | int], order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
         cs = []
         for c in coeffs:
-            if not isinstance(c, QFraction):
-                c = QFraction(c)
+            if isinstance(c, int):
+                c = LaurentPoly.const(c)
+            elif not isinstance(c, LaurentPoly):
+                raise TypeError(f"a series coefficient is a LaurentPoly or int, "
+                                f"not {type(c).__name__}")
             cs.append(c)
         cs = cs[: order + 1]
-        cs.extend(QFraction.zero() for _ in range(order + 1 - len(cs)))
+        cs.extend(LaurentPoly.zero() for _ in range(order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -821,13 +820,9 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> TruncatedSeries:
-        return cls([QFraction.one()], order)
+        return cls([1], order)
 
-    @classmethod
-    def constant(cls, c: QFraction | LaurentPoly | int, order: int) -> TruncatedSeries:
-        return cls([c], order)
-
-    def coeff(self, n: int) -> QFraction:
+    def coeff(self, n: int) -> LaurentPoly:
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -849,33 +844,27 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         k = min(self.order, other.order)
-        out = []
-        for n in range(k + 1):
-            pairs = zip(self.coeffs[:n + 1], reversed(other.coeffs[:n + 1]))
-            out.append(qfrac_sum([a * b for a, b in pairs
-                                  if not (a.is_zero or b.is_zero)]).reduced())
-        return TruncatedSeries(out, k)
+        return TruncatedSeries([_dot(self.coeffs[:n + 1], reversed(other.coeffs[:n + 1]))
+                                for n in range(k + 1)], k)
 
-    def scale(self, c: QFraction | LaurentPoly | int) -> TruncatedSeries:
-        if not isinstance(c, QFraction):
-            c = QFraction(c)
+    def scale(self, c: LaurentPoly | int) -> TruncatedSeries:
         return TruncatedSeries([a * c for a in self.coeffs], self.order)
 
     def shift(self, k: int = 1) -> TruncatedSeries:
         """Multiply by lam^k (k >= 0), truncating at the same order."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return TruncatedSeries([QFraction.zero()] * k + list(self.coeffs[: self.order + 1 - k]),
-                               self.order)
+        return TruncatedSeries([0] * k + list(self.coeffs[: self.order + 1 - k]), self.order)
 
     def invert(self) -> TruncatedSeries:
-        """Series inverse; the constant term must be a unit QFraction."""
-        b0 = self.coeffs[0].inverse_unit()
+        """Series inverse; the constant term must be +1 or -1 times a monomial."""
+        try:
+            b0 = self.coeffs[0] ** -1
+        except ValueError:
+            raise NonUnitConstantTerm(f"constant term {self.coeffs[0]} is not a unit") from None
         out = [b0]
         for n in range(1, self.order + 1):
-            acc = qfrac_sum([self.coeffs[j] * out[n - j] for j in range(1, n + 1)
-                             if not self.coeffs[j].is_zero])
-            out.append((-(b0 * acc)).reduced())
+            out.append(-(b0 * _dot(self.coeffs[1:n + 1], reversed(out))))
         return TruncatedSeries(out, self.order)
 
     def __eq__(self, other: object) -> bool:

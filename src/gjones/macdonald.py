@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import LaurentPoly, QFraction, qbrace_poly
+from .exactalg import LaurentPoly, QFraction, TruncatedSeries, qbrace_poly
 from .qcombo import gauss_qbinom, qpochhammer
 
 
@@ -113,8 +113,6 @@ def genfun_matches(i: int, order: int) -> bool:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    from .exactalg import TruncatedSeries
-
     rhs = TruncatedSeries.one(order)
     for k in range(i):
         for xe in (1, -1):
@@ -123,6 +121,6 @@ def genfun_matches(i: int, order: int) -> bool:
                 order)
             rhs = rhs * geo
     for m in range(order + 1):
-        if not rhs.coeff(m) == QFraction(rogers_c(m, i)):
+        if rhs.coeff(m) != rogers_c(m, i):
             return False
     return True

@@ -190,6 +190,12 @@ def test_hash_agrees_with_eq():
     assert QFraction(5) == 5 and hash(QFraction(5)) == hash(5)
     assert L.const(5) == 5 and hash(L.const(5)) == hash(5) and len({L.const(5), 5}) == 1
     assert L.zero() == 0 and hash(L.zero()) == hash(0) and len({L.zero(), 0}) == 1
+    # a polynomial equals, and hashes as, a fraction of the same value
+    assert L.const(-1) == QFraction(-1) and QFraction(-1) == L.const(-1)
+    p = L.term(2, q=1, t1=-1) - L.var("t2")
+    f = QFraction(brace_product((3, 9), p), (3, 9))
+    assert p == f and f == p
+    assert hash(p) == hash(f) and len({p, f}) == 1 and len({f, p}) == 1
 
 
 def test_fraction_arithmetic_common_denominator():
@@ -245,16 +251,6 @@ def test_as_poly_raises_when_stuck():
         QFraction(qbrace_poly(2), (4,)).as_poly()
 
 
-def test_inverse_unit():
-    f = QFraction(L.term(-1, q=3), (2, 5))
-    g = f.inverse_unit()
-    assert (f * g).as_poly() == L.one()
-    with pytest.raises(NonUnitConstantTerm):
-        QFraction(L.one() + L.var("q")).inverse_unit()
-    with pytest.raises(NonUnitConstantTerm):
-        QFraction(L.const(2)).inverse_unit()
-
-
 def test_substitute_blocks_q_with_denominator():
     with pytest.raises(ValueError):
         QFraction(L.one(), (2,)).substitute("q", 1)
@@ -288,6 +284,23 @@ def test_invert_requires_unit_constant():
         TruncatedSeries([0, 1], 4).invert()
     with pytest.raises(NonUnitConstantTerm):
         TruncatedSeries([2, 1], 4).invert()
+    with pytest.raises(NonUnitConstantTerm):
+        TruncatedSeries([L.one() + L.var("q"), 1], 4).invert()
+
+
+def test_invert_monomial_unit_constant():
+    # -q^3 t1 is a unit other than +-1
+    s = TruncatedSeries([L.term(-1, q=3, t1=1), qbrace_poly(2), L.var("t2")], 5)
+    inv = s.invert()
+    assert inv.coeff(0) == L.term(-1, q=-3, t1=-1)
+    assert (s * inv) == TruncatedSeries.one(5)
+
+
+def test_series_refuses_fractions():
+    with pytest.raises(TypeError):
+        TruncatedSeries([QFraction(1, (3,))], 2)
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, 2], 2).scale(QFraction(1, (3,)))
 
 
 def test_min_order_semantics():

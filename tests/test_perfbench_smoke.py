@@ -3,7 +3,9 @@
 Its tracer wraps library functions by name and reads ``a_table``'s
 ``cache_info``; renaming those breaks the per-layer metrics silently, so
 a traced CLI call on the sum route checks that the counts it reads are
-still there, and one on the default route that it builds no table.
+still there, and one on the default route that it builds no table.  A traced
+verify-gate round runs the det route and the Macdonald generating series
+under the tracer's series wrappers, which no other test reaches.
 """
 
 import json
@@ -43,3 +45,12 @@ def test_default_route_builds_no_table(tmp_path):
     counts = _traced_counts(tmp_path, "jones", "--knot", "figure-eight", "-n", "3")
     assert counts["a_table_misses"] == 0
     assert counts.get("coeff_sum_calls", 0) == 0     # a count never taken is absent
+
+
+def test_traced_verify_gate_round():
+    proc = _run("perfbench/worker.py", "round", "--workload", "verify-gate", "--seed", "1",
+                "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["error"] is None
+    assert len(out["ops"]) == 18 and all(op["ok"] for op in out["ops"]), out["ops"]
