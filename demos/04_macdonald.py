@@ -18,7 +18,7 @@ print()
 
 print("At beta = base = q^4 the family telescopes (Schur-type collapse):")
 for n in range(1, 6):
-    val = mac_p(n - 1, 4, 4).as_poly()
+    val = mac_p(n - 1, 4, 4).over(())
     assert (x - xi) * val == LaurentPoly.var("x", n) - LaurentPoly.var("x", -n)
 print("  (x - x^-1) p_{n-1}(x; q^4 | q^4) == x^n - x^-n for n <= 5")
 print()

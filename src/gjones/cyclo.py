@@ -40,14 +40,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactalg import (LaurentPoly, PackedBinomial, PackedLayout, QFraction, TruncatedSeries,
-                       divide_brace, qbrace_poly)
+from .exactalg import (IntegralityViolation, LaurentPoly, PackedBinomial, PackedLayout, QFraction,
+                       TruncatedSeries, divide_brace, qbrace_poly)
 from .macdonald import rogers_c
-from .qcombo import alpha_weight, cyclotomic_c, qint, w_poly
-
-
-class IntegralityViolation(ArithmeticError):
-    """A generalized coefficient failed to reduce to a Laurent polynomial."""
+from .qcombo import alpha_weight, cyclotomic_c, qint, row_braces, w_poly
 
 
 class RouteUnavailable(ValueError):
@@ -65,9 +61,9 @@ def integral(frac: QFraction, what: str) -> LaurentPoly:
     IntegralityViolation naming ``what``.
     """
     try:
-        return frac.as_poly()
-    except ValueError as exc:
-        raise IntegralityViolation(f"{what} kept {exc}") from exc
+        return frac.over(())
+    except IntegralityViolation as exc:
+        raise IntegralityViolation(f"{what}: {exc}") from exc
 
 
 def _sets_one(value, name: str) -> bool:
@@ -105,11 +101,6 @@ def a_ratio(p: int) -> QFraction:
     return QFraction(num, (2 * p - 1,))
 
 
-def row_braces(n: int) -> tuple[int, ...]:
-    """The braces of D_n = {3}{5}...{2n-1}, the one denominator of row n of the table."""
-    return tuple(range(3, 2 * n, 2))
-
-
 @lru_cache(maxsize=None)
 def a_table(n: int) -> Mapping[int, QFraction]:
     """Row n of the table as a read-only mapping {p: a[n][p]} of its nonzero
@@ -144,28 +135,35 @@ def a_table(n: int) -> Mapping[int, QFraction]:
     return MappingProxyType(cur)
 
 
-@lru_cache(maxsize=None)
-def _sum_row(n: int) -> tuple[LaurentPoly, ...]:
-    """chat[n][1..n] by the Newton step of the module docstring over row n."""
+def _sum_row(n: int, width: int) -> tuple[LaurentPoly, ...]:
+    """chat[n][1..width] by the Newton step of the module docstring over row n."""
     b = {p: f.num * qbrace_poly(2 * p) * (-1) ** (n + p) for p, f in a_table(n).items()}
     out = []
-    for i in range(1, n + 1):
+    for i in range(1, width + 1):
         total = sum(b.values(), LaurentPoly.zero())
         out.append(integral(QFraction(total, (2,) + row_braces(n)), f"coefficient (n={n}, i={i})"))
-        b = {p: v * (w_poly(p) - w_poly(i)) for p, v in b.items() if p > i}
+        if i < width:
+            b = {p: v * (w_poly(p) - w_poly(i)) for p, v in b.items() if p > i}
     return tuple(out)
+
+
+# chat[n][1..w] per n by the sum route, widened only when a larger i is asked for
+_SUM_ROWS: dict[int, tuple[LaurentPoly, ...]] = {}
 
 
 def coeff_sum(n: int, i: int) -> LaurentPoly:
     """Generalized cyclotomic coefficient via sum_{p=i}^{n} (-1)^(n+p) a[n][p] c[p][i-1].
 
     The classical coefficients vanish for p < i, so the sum starts at i.  The
-    row chat[n][1..n] is made and cached at once by the Newton step of the
-    module docstring: one sum over D_n {2} per coefficient, divided exactly.
+    Newton step of the module docstring makes chat[n][1..i], one sum over D_n {2}
+    per coefficient divided exactly; a later, wider request makes the whole row.
     """
     if i < 1 or n < i:
         raise IndexError(f"coeff_sum out of range: n={n}, i={i}")
-    return _sum_row(n)[i - 1]
+    row = _SUM_ROWS.get(n)
+    if row is None or len(row) < i:
+        row = _SUM_ROWS[n] = _sum_row(n, i if row is None else n)
+    return row[i - 1]
 
 
 # ---------------------------------------------------------------------------

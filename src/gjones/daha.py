@@ -4,7 +4,8 @@ Two module structures are implemented:
 
 * the right action of the quantum-torus generators X, Y, s and of the
   deformed shift (Dunkl) operator on Laurent polynomials in U, carrying
-  the distinguished vector U - U^-1;
+  the distinguished vector U - U^-1, whose image under S_{n-1}(Y' + Y'^-1)
+  is row n of the transition table, held over the table's D_n;
 * the T1/T3 generator actions on Laurent polynomials in X, T1 with
   parameters (t1, t2) and T3 with parameters (t3, t4).
 
@@ -32,6 +33,7 @@ from functools import lru_cache
 
 from .exactalg import (VARS, LaurentPoly, QFraction, divide_one_minus_sq,
                        qbrace_poly)
+from .qcombo import row_braces
 
 
 class NotSkewSymmetric(ArithmeticError):
@@ -171,14 +173,15 @@ def dunkl_pair(f: UPoly) -> UPoly:
 
 @lru_cache(maxsize=None)
 def _s_vector(j: int) -> UPoly:
-    # (U - U^-1) . S_j(Y' + Y'^-1) via the Chebyshev recurrence
+    """(U - U^-1) . S_j(Y' + Y'^-1) by the Chebyshev recurrence, each entry moved onto
+    D_{j+1} = {3}{5}...{2j+1}; braces beyond it that do not cancel raise IntegralityViolation."""
     if j < 0:
         return UPoly()
     if j == 0:
         return base_vector()
-    # reduced as it goes: unreduced denominators grow to 32 braces by j = 8
     v = dunkl_pair(_s_vector(j - 1)) - _s_vector(j - 2)
-    return UPoly({k: c.reduced() for k, c in v._c.items()})
+    den = row_braces(j + 1)
+    return UPoly({k: QFraction(c.over(den), den) for k, c in v._c.items()})
 
 
 def skew_coefficients(v: UPoly, pmax: int | None = None) -> dict[int, QFraction]:
@@ -195,7 +198,7 @@ def skew_coefficients(v: UPoly, pmax: int | None = None) -> dict[int, QFraction]
         if not (cp + cm).is_zero:
             raise NotSkewSymmetric(f"skew symmetry fails at p={p}")
         if not cp.is_zero:
-            out[p] = cp.reduced()
+            out[p] = cp
     if pmax is not None and any(p > pmax for p in out):
         raise NotSkewSymmetric(f"support exceeds U^{pmax}")
     return out
@@ -204,9 +207,9 @@ def skew_coefficients(v: UPoly, pmax: int | None = None) -> dict[int, QFraction]
 def transition_row(n: int) -> dict[int, QFraction]:
     """Expand (U - U^-1) . S_{n-1}(Y' + Y'^-1) over the skew basis U^p - U^-p.
 
-    Returns {p: coefficient} for p = 1..n.  The expanded vector must be
-    skew-symmetric under U -> U^-1; a failure means the operator actions
-    are broken and raises NotSkewSymmetric.
+    Returns {p: coefficient} for p = 1..n, each over D_n as in ``a_table(n)``.
+    The vector must be skew-symmetric under U -> U^-1; a failure means the
+    operator actions are broken and raises NotSkewSymmetric.
     """
     if n < 1:
         raise ValueError("transition_row requires n >= 1")

@@ -69,6 +69,10 @@ class NonUnitConstantTerm(ArithmeticError):
     """Series inversion requires a single-monomial unit constant term."""
 
 
+class IntegralityViolation(ArithmeticError):
+    """A brace factor that must divide a numerator exactly left a remainder."""
+
+
 def _pack(mono: tuple[int, ...]) -> int:
     return sum((e + _BIAS) << s for e, s in zip(mono, _SHIFTS))
 
@@ -235,17 +239,20 @@ class LaurentPoly:
             mono, c = self.as_single_term()
             if c not in (1, -1):
                 raise ValueError("negative powers only for unit monomials")
-            inv = LaurentPoly({tuple(-e for e in mono): c})
-            return inv ** (-n)
-        out = LaurentPoly.one()
-        base = self
-        while n:
+            e = self._e * -n
+            if e >= _BIAS:
+                raise OverflowError(f"exponents up to {e} exceed the supported range")
+            return LaurentPoly._raw({_pack(tuple(x * n for x in mono)): c ** -n}, e)
+        if n == 0:
+            return LaurentPoly.one()
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
-            if n:
-                base = base * base
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -728,12 +735,21 @@ class QFraction:
                 num = qt
         return QFraction(num, kept)
 
-    def as_poly(self) -> LaurentPoly:
-        """The value as a LaurentPoly; raises ValueError if braces remain."""
-        r = self.reduced()
-        if r.den:
-            raise ValueError(f"denominator {r.den} does not cancel")
-        return r.num
+    def over(self, den: Iterable[int]) -> LaurentPoly:
+        """The numerator of this value over the brace multiset ``den``: braces it adds are
+        multiplied in, and a brace it drops that leaves a remainder raises IntegralityViolation."""
+        target = QFraction(1, den)      # folds negative indices into its sign
+        num, extra = (self.num if target.num == 1 else -self.num), list(self.den)
+        for m in target.den:
+            if m in extra:
+                extra.remove(m)
+            else:
+                num = num * qbrace_poly(m)
+        for m in extra:
+            num = divide_brace(num, m)
+            if num is None:
+                raise IntegralityViolation(f"the brace {{{m}}} of {self.den} does not cancel")
+        return num
 
     def substitute(self, name: str, image: LaurentPoly | int) -> QFraction:
         if name == "q" and self.den:

@@ -20,10 +20,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import (RouteUnavailable, a_table, check_route, coefficient, integral,
-                    row_braces, specialize)
+from .cyclo import RouteUnavailable, a_table, check_route, coefficient, integral, specialize
 from .exactalg import LaurentPoly, QFraction
-from .qcombo import cyclotomic_c, qint
+from .qcombo import cyclotomic_c, qint, row_braces
 
 
 class MissingHabiro(LookupError):

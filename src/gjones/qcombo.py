@@ -79,6 +79,11 @@ def w_poly(m: int) -> LaurentPoly:
     return LaurentPoly.var("q", 4 * m) + LaurentPoly.var("q", -4 * m)
 
 
+def row_braces(n: int) -> tuple[int, ...]:
+    """The braces of D_n = {3}{5}...{2n-1}, the one denominator of row n of the table."""
+    return tuple(range(3, 2 * n, 2))
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_c(n: int, i: int) -> LaurentPoly:
     """Classical cyclotomic coefficient c_{n,i-1}, 1 <= i <= n.

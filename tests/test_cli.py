@@ -4,9 +4,11 @@ from collections import Counter
 
 import pytest
 
+from gjones import daha, verify
 from gjones.cli import main
-from gjones.cyclo import a_table, row_braces, specialize
+from gjones.cyclo import a_table, specialize
 from gjones.exactalg import JSON_VARS, LaurentPoly, QFraction
+from gjones.qcombo import row_braces
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -201,3 +203,37 @@ def test_verify_rejects_bounds_below_one(capsys, suite, nmax):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "nmax" in err
+
+
+@pytest.fixture
+def s_vector_cache():
+    daha._s_vector.cache_clear()
+    yield
+    daha._s_vector.cache_clear()
+
+
+def test_broken_operator_vector_exits_two(capsys, monkeypatch, s_vector_cache):
+    # one term added to the U^2 entry of the Dunkl step that builds row 4
+    pair = daha.dunkl_pair
+
+    def broken(f):
+        v = pair(f)
+        if max(v.support()) != 4:
+            return v
+        c = v.coeff(2)
+        return daha.UPoly({**v._c, 2: QFraction(c.num + LaurentPoly.var("q"), c.den)})
+
+    monkeypatch.setattr(daha, "dunkl_pair", broken)
+    code, out, err = run(capsys, ["verify", "--suite", "daha", "--nmax", "4"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation: ") and "does not cancel" in err
+
+
+def test_broken_schur_value_exits_two(capsys, monkeypatch):
+    # a brace remainder is an invariant violation, not a validation error
+    monkeypatch.setattr(verify, "mac_p", lambda n, beta, base: QFraction(1, (3,)))
+    code, out, err = run(capsys, ["verify", "--suite", "macdonald", "--nmax", "4"])
+    assert code == 2
+    assert out == "ok macdonald-recurrence\nok macdonald-genfun\n"
+    assert err.startswith("invariant violation: ") and "does not cancel" in err

@@ -1,11 +1,12 @@
 import pytest
 
 from gjones import daha
-from gjones.cyclo import a_ratio
+from gjones.cyclo import a_ratio, a_table
 from gjones.daha import (NonPolynomialResult, NotSkewSymmetric, UPoly, XFrac,
                          act_basic, base_vector, dunkl_pair, dunkl_pair_eval,
                          dunkl_y, hecke_defect, polyrep_act, transition_row)
-from gjones.exactalg import LaurentPoly as L, QFraction as F
+from gjones.exactalg import IntegralityViolation, LaurentPoly as L, QFraction as F
+from gjones.qcombo import row_braces
 
 
 def fr(*parts):
@@ -83,6 +84,37 @@ def test_transition_row_small():
     row2 = transition_row(2)
     assert row2[2] == a_ratio(2)
     assert row2[1] == a_ratio(1) - a_ratio(2)
+
+
+def test_transition_rows_sit_over_d_n():
+    # the operator rows hold the table's denominator, so the two compare
+    # numerator to numerator
+    for n in range(1, 9):
+        row, want = transition_row(n), a_table(n)
+        assert row.keys() == want.keys(), n
+        for p, f in row.items():
+            assert f.den == want[p].den == row_braces(n), (n, p)
+            assert f.num == want[p].num, (n, p)
+
+
+@pytest.fixture
+def s_vectors():
+    real = daha._s_vector
+    real.cache_clear()
+    yield real
+    real.cache_clear()
+
+
+def test_broken_vector_fails_the_next_step(s_vectors, monkeypatch):
+    # one term added to the U^2 entry of the j = 3 vector leaves a brace of
+    # the next Dunkl step uncancelled over D_5 (the U^1 entry would not show:
+    # its braces cancel)
+    v = s_vectors(3)
+    c = v.coeff(2)
+    broken = UPoly({**v._c, 2: F(c.num + L.var("q"), c.den)})
+    monkeypatch.setattr(daha, "_s_vector", lambda j: broken if j == 3 else s_vectors(j))
+    with pytest.raises(IntegralityViolation):
+        s_vectors(4)
 
 
 def test_skew_extraction_and_guard():

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjones.exactalg import (LaurentPoly, NonUnitConstantTerm, PackedBinomial, PackedLayout,
-                             QFraction, TruncatedSeries, brace_product, divide_brace,
-                             divide_one_minus_sq, qbrace_poly, qfrac_sum)
+from gjones.exactalg import (IntegralityViolation, LaurentPoly, NonUnitConstantTerm,
+                             PackedBinomial, PackedLayout, QFraction, TruncatedSeries,
+                             brace_product, divide_brace, divide_one_minus_sq, qbrace_poly,
+                             qfrac_sum)
 
 L = LaurentPoly
 
@@ -58,9 +59,10 @@ def test_brace_square():
 @pytest.mark.parametrize("make, exc", [
     (lambda: L.var("q", 100000) ** 8, OverflowError),
     (lambda: L.var("t1", 100000) ** 8, OverflowError),
+    (lambda: L.var("q", 100000) ** -8, OverflowError),
     (lambda: L({(600000, 0, 0, 0, 0, 0, 0, 0, 0): 1}), ValueError),
     (lambda: L.var("q", 5).substitute("q", L.var("q", 131071)), OverflowError),
-], ids=["q-power", "t1-power", "tuple-constructor", "substitute"])
+], ids=["q-power", "t1-power", "negative-power", "tuple-constructor", "substitute"])
 def test_exponent_overflow_raises(make, exc):
     with pytest.raises(exc):
         make()
@@ -69,6 +71,7 @@ def test_exponent_overflow_raises(make, exc):
 def test_large_exponents_below_the_field_stay_exact():
     p = L.var("q", 100000) ** 4
     assert p.as_single_term() == ((400000,) + (0,) * 8, 1)
+    assert (L.var("q", 100000) ** -4).as_single_term() == ((-400000,) + (0,) * 8, 1)
     assert (p * L.var("q", -100000)).as_single_term()[0][0] == 300000
     assert L.var("q", 3).substitute("q", L.var("q", 131071)).as_single_term()[0][0] == 393213
 
@@ -78,6 +81,25 @@ def test_pow_matches_repeated_product():
     assert p ** 3 == p * p * p
     assert p ** 0 == L.one()
     assert L.term(1, q=2) ** -2 == L.term(1, q=-4)
+
+
+@pytest.mark.parametrize("n, products", [(-3, 0), (-1, 0), (0, 0), (1, 0), (2, 1), (5, 3)])
+def test_pow_makes_no_product_by_one(monkeypatch, n, products):
+    # a negative power is one monomial; a positive one starts from the base
+    base = L.term(-1, q=2, t1=-1) if n < 0 else L.var("q") + L.term(2, t1=1)
+    want = L.one()
+    for _ in range(abs(n)):
+        want = want * base
+    if n < 0:
+        want = L.term((-1) ** n, q=2 * n, t1=-n)
+        assert want * base ** -n == L.one()
+    calls = []
+    mul = L.__mul__
+    monkeypatch.setattr(L, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    got = base ** n
+    monkeypatch.undo()
+    assert len(calls) == products
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,9 +268,57 @@ def test_reduced_leaves_no_dividing_brace(core, factors, extra):
         assert divide_brace(r.num, m) is None, (m, r)
 
 
-def test_as_poly_raises_when_stuck():
+def test_over_raises_when_stuck():
+    with pytest.raises(IntegralityViolation):
+        QFraction(qbrace_poly(2), (4,)).over(())
+    with pytest.raises(IntegralityViolation):       # {3} divides t1 {9} {5}, {5} does not
+        QFraction(L.var("t1") * qbrace_poly(9), (3, 5)).over((9,))
     with pytest.raises(ValueError):
-        QFraction(qbrace_poly(2), (4,)).as_poly()
+        QFraction(1, (3,)).over((0,))
+
+
+def test_integrality_violation_has_one_home():
+    import gjones
+    from gjones import cyclo
+    assert gjones.IntegralityViolation is cyclo.IntegralityViolation is IntegralityViolation
+    assert not issubclass(IntegralityViolation, ValueError)
+
+
+def test_over_examples():
+    t1 = L.var("t1")
+    # raising: braces den has beyond self.den are multiplied in
+    assert QFraction(t1, (3,)).over((3, 5)) == t1 * qbrace_poly(5)
+    assert QFraction(t1).over((3, 3)) == t1 * qbrace_poly(3) * qbrace_poly(3)
+    # lowering: braces self.den has beyond den are divided out
+    assert QFraction(qbrace_poly(3) * t1, (3, 5)).over((5,)) == t1
+    assert QFraction(qbrace_poly(4), (2,)).over(()) == L.var("q", 2) + L.var("q", -2)
+    # moving between two multisets: 1/{2} = (q^2 + q^-2)/{4}, which needs the
+    # raise before the division
+    assert QFraction(1, (2,)).over((4,)) == L.var("q", 2) + L.var("q", -2)
+    assert QFraction(t1 * qbrace_poly(9), (3, 5)).over((5, 9)) == divide_brace(
+        brace_product((9, 9), t1), 3)
+    # negative indices, on either side, fold into the sign as in the constructor
+    assert QFraction(t1, (3,)).over((-3,)) == -t1
+    assert QFraction(t1, (-3,)).over((3,)) == -t1
+    assert QFraction(t1, (-3, 5)).over((-5, 3)) == t1
+    # a zero value has the zero numerator over every multiset
+    assert QFraction.zero().over((3, 5)).is_zero
+    assert QFraction(L.zero(), (7,)).over(()).is_zero
+    # over its own braces a fraction returns its numerator unchanged
+    f = QFraction(t1 + L.one(), (3, 5))
+    assert f.over(f.den) == f.num
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(vars=("q", "t1"), max_terms=3), st.lists(st.integers(1, 6), max_size=3),
+       st.lists(st.integers(-6, 6).filter(bool), max_size=3),
+       st.lists(st.integers(-6, 6).filter(bool), max_size=3))
+def test_over_keeps_the_value(core, factors, den, more):
+    # the value core / den, written over factors + den
+    f = QFraction(brace_product(factors, core), factors + den)
+    assert f.over(den) == core
+    target = den + more
+    assert QFraction(f.over(target), target) == f
 
 
 def test_substitute_blocks_q_with_denominator():

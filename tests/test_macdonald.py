@@ -47,7 +47,7 @@ def test_symmetry_under_inversion():
 def test_schur_collapse():
     x, xi = L.var("x"), L.var("x", -1)
     for n in range(1, 11):
-        val = mac_p(n - 1, 4, 4).as_poly()
+        val = mac_p(n - 1, 4, 4).over(())
         assert (x - xi) * val == L.var("x", n) - L.var("x", -n), n
 
 
