@@ -7,7 +7,8 @@ Subcommands:
   table    triangular tables of coefficients or transition entries
   verify   named cross-validation suites
 
-Exit codes: 0 success, 1 validation error, 2 internal invariant violation.
+Exit codes, all set in ``main``: 0 success, 1 a bad request (flags, sizes or
+knot data: any ValueError or LookupError), 2 a broken internal invariant.
 All output is deterministic; polynomials render in the canonical term
 order as text (default), JSON term lists, or LaTeX.
 """
@@ -18,11 +19,10 @@ import argparse
 import json
 import sys
 
-from .cyclo import (IntegralityViolation, RouteUnavailable, a_table, check_route, coefficient,
-                    specialize)
+from .cyclo import IntegralityViolation, a_table, check_route, coefficient, specialize
+from .daha import NonPolynomialResult, NotSkewSymmetric
 from .exactalg import LaurentPoly, QFraction
-from .knots import (KnotRecord, MissingHabiro, builtin_knot, generalized_jones,
-                    load_knot_file)
+from .knots import KnotRecord, builtin_knot, generalized_jones, load_knot_file
 from .qcombo import cyclotomic_c
 from .verify import SUITES, CheckFailed, run_suite
 
@@ -97,13 +97,10 @@ def build_parser() -> _Parser:
 
 def _knot_from_args(args) -> KnotRecord:
     if args.knot is not None:
-        try:
-            return builtin_knot(args.knot)
-        except KeyError as exc:
-            raise CLIError(str(exc)) from None
+        return builtin_knot(args.knot)
     try:
         return load_knot_file(args.knot_file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # JSONDecodeError is a ValueError
         raise CLIError(f"cannot load knot file: {exc}") from None
 
 
@@ -115,10 +112,7 @@ def _cmd_coeff(args) -> str:
     t2 = _parse_tspec(args.t2, "t2")
     # flags are checked alike with or without --classic; the order of a
     # series sets only its cost, since lam^n comes out the same at any order >= n
-    try:
-        check_route(args.route, t1, t2, i)
-    except RouteUnavailable as exc:
-        raise CLIError(str(exc)) from None
+    check_route(args.route, t1, t2, i)
     if args.order is not None and args.order < n:
         raise CLIError(f"order {args.order} is below the requested coefficient n={n}")
     if args.classic:
@@ -132,13 +126,8 @@ def _cmd_jones(args) -> str:
     knot = _knot_from_args(args)
     t1 = _parse_tspec(args.t1, "t1")
     t2 = _parse_tspec(args.t2, "t2")
-    try:
-        poly = generalized_jones(knot, args.n, t1=t1, t2=t2, route=args.route)
-    except RouteUnavailable as exc:
-        raise CLIError(str(exc)) from None
-    except MissingHabiro as exc:
-        raise CLIError(str(exc)) from None
-    return _render_poly(poly, args.format)
+    return _render_poly(generalized_jones(knot, args.n, t1=t1, t2=t2, route=args.route),
+                        args.format)
 
 
 def _cmd_table(args) -> str:
@@ -181,34 +170,18 @@ def _cmd_table(args) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
-            try:
-                run_suite(args.suite, args.nmax, report=lambda line: print(line))
-            except ValueError as exc:   # bounds are checked before any check runs
-                raise CLIError(str(exc)) from None
+            run_suite(args.suite, args.nmax, report=print)
             return 0
-        if args.command == "coeff":
-            out = _cmd_coeff(args)
-        elif args.command == "jones":
-            out = _cmd_jones(args)
-        else:
-            out = _cmd_table(args)
-        print(out)
+        cmd = {"coeff": _cmd_coeff, "jones": _cmd_jones, "table": _cmd_table}[args.command]
+        print(cmd(args))
         return 0
-    except CLIError as exc:
+    except (CLIError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CheckFailed, IntegralityViolation) as exc:
+    except (CheckFailed, IntegralityViolation, NotSkewSymmetric, NonPolynomialResult) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,10 @@ Two module structures are implemented:
   the distinguished vector U - U^-1, whose image under S_{n-1}(Y' + Y'^-1)
   is row n of the transition table, held over the table's D_n;
 * the T1/T3 generator actions on Laurent polynomials in X, T1 with
-  parameters (t1, t2) and T3 with parameters (t3, t4).
+  parameters (t1, t2) and T3 with parameters (t3, t4).  Each is written
+  as its formula: T1's division by q X - q^-1 X^-1 is one exact
+  ``divide_binomial``, and T3's (1 - X^2) poles stay on the ``XFrac``
+  carrier, which divides them out the same way.
 
 Conventions: right actions compose left to right, f.(AB) = (f.A).B.
 The basic generators act by
@@ -31,8 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import (VARS, LaurentPoly, QFraction, divide_one_minus_sq,
-                       qbrace_poly)
+from .exactalg import LaurentPoly, QFraction, divide_binomial, qbrace_poly
 from .qcombo import row_braces
 
 
@@ -238,6 +240,9 @@ def dunkl_pair_eval(f: UPoly, N: int) -> QFraction:
 # Polynomial-line generators T1 and T3
 # ---------------------------------------------------------------------------
 
+_ONE_MINUS_X2 = LaurentPoly.one() - LaurentPoly.var("X", 2)
+
+
 class XFrac:
     """Laurent polynomial in X over powers of (1 - X^2).
 
@@ -252,22 +257,17 @@ class XFrac:
         self.num = num
         self.j = j
 
-    @classmethod
-    def poly(cls, p: LaurentPoly) -> XFrac:
-        return cls(p, 0)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
     def _match(self, other: XFrac) -> tuple[LaurentPoly, LaurentPoly, int]:
         j = max(self.j, other.j)
-        onemx2 = LaurentPoly.one() - LaurentPoly.var("X", 2)
         na, nb = self.num, other.num
         for _ in range(j - self.j):
-            na = na * onemx2
+            na = na * _ONE_MINUS_X2
         for _ in range(j - other.j):
-            nb = nb * onemx2
+            nb = nb * _ONE_MINUS_X2
         return na, nb, j
 
     def __add__(self, other: XFrac) -> XFrac:
@@ -283,10 +283,8 @@ class XFrac:
 
     def reduced(self) -> XFrac:
         num, j = self.num, self.j
-        if num.is_zero:
-            return XFrac(num, 0)
         while j > 0:
-            qt = divide_one_minus_sq(num, "X")
+            qt = divide_binomial(num, _ONE_MINUS_X2)
             if qt is None:
                 break
             num, j = qt, j - 1
@@ -305,51 +303,26 @@ class XFrac:
         return na == nb
 
 
-def _sub_x_inv(p: LaurentPoly) -> LaurentPoly:
-    return p.substitute("X", LaurentPoly.var("X", -1))
-
-
-_XI = VARS.index("X")
-
-
-def _geometric(n: int) -> LaurentPoly:
-    # (1 - (qX)^2n) / (1 - (qX)^2) read as a sum: forward for n >= 0,
-    # the complementary negated range for n < 0
-    out = LaurentPoly.zero()
-    ks = range(n) if n >= 0 else range(n, 0)
-    sgn = 1 if n >= 0 else -1
-    for k in ks:
-        out = out + LaurentPoly.term(sgn, q=2 * k, X=2 * k)
-    return out
+_QX_MINUS_QX_INV = LaurentPoly.term(1, q=1, X=1) - LaurentPoly.term(1, q=-1, X=-1)
+_A_NUM = LaurentPoly.term(1, q=1, X=1) * _TBAR1 + _TBAR2
 
 
 def t1_act(f: XFrac | LaurentPoly) -> XFrac:
-    """T1 . X^n = t1 q^-2n X^-n + q^-2n X^-n (q^2 tbar1 X^2 + q tbar2 X) * g_n,
+    """T1 . f = t1 V(f) + a(X) (f - V(f)) for the involution V: f -> f(q^-2 X^-1)
+    and a(X) = (q tbar1 X + tbar2) / (q X - q^-1 X^-1).
 
-    where g_n is the geometric reading of (1 - (qX)^2n) / (1 - (qX)^2):
-    sum_{k=0}^{n-1} (qX)^2k for n >= 0 and -sum_{k=n}^{-1} (qX)^2k for
-    n < 0, the unique extension keeping the rational identity.  The result
-    is always polynomial.
-
-    This is t1*V + a(X)(1 - V) for the involution V: f -> f(q^-2 X^-1)
-    and a(X) = (q tbar1 X + tbar2)/(q X - q^-1 X^-1); the quadratic Hecke
-    relation holds because a + V(a) = tbar1, and it pins the q^-2n power
-    of the leading term.
+    The division is exact for every Laurent polynomial f, since f - V(f)
+    vanishes where X^2 = q^-2, so the result is always polynomial; a
+    remainder raises NonPolynomialResult.  The quadratic Hecke relation
+    holds because a + V(a) = tbar1.
     """
     if isinstance(f, XFrac):
         f = f.as_poly()
-    bracket = (LaurentPoly.term(1, q=2, t1=1, X=2) - LaurentPoly.term(1, q=2, t1=-1, X=2)
-               + LaurentPoly.term(1, q=1, t2=1, X=1) - LaurentPoly.term(1, q=1, t2=-1, X=1))
-    out = LaurentPoly.zero()
-    for mono, c in f.terms_sorted():
-        n = mono[_XI]
-        rest = list(mono)
-        rest[_XI] = 0
-        restpoly = LaurentPoly({tuple(rest): c})
-        lead = LaurentPoly.term(1, t1=1, q=-2 * n, X=-n)
-        tail = LaurentPoly.term(1, q=-2 * n, X=-n) * bracket * _geometric(n)
-        out = out + restpoly * (lead + tail)
-    return XFrac.poly(out)
+    v = f.substitute("X", LaurentPoly.term(1, q=-2, X=-1))
+    quot = divide_binomial(f - v, _QX_MINUS_QX_INV)
+    if quot is None:
+        raise NonPolynomialResult("a (q X - q^-1 X^-1) denominator survives")
+    return XFrac(_T1 * v + _A_NUM * quot)
 
 
 def t3_act(f: XFrac | LaurentPoly, generic: bool = True) -> XFrac:
@@ -360,9 +333,9 @@ def t3_act(f: XFrac | LaurentPoly, generic: bool = True) -> XFrac:
     genuine and the result lives on the XFrac carrier.
     """
     if isinstance(f, LaurentPoly):
-        f = XFrac.poly(f)
+        f = XFrac(f)
     g, j = f.num, f.j
-    ghat = _sub_x_inv(g)
+    ghat = g.substitute("X", LaurentPoly.var("X", -1))
     # (1 - X^-2)^j = (-1)^j X^-2j (1 - X^2)^j
     sign = -1 if j % 2 else 1
     xshift = LaurentPoly.term(sign, X=2 * j)
@@ -372,8 +345,7 @@ def t3_act(f: XFrac | LaurentPoly, generic: bool = True) -> XFrac:
     t3 = LaurentPoly.var("t3")
     tbar34 = (t3 - LaurentPoly.var("t3", -1)
               + LaurentPoly.term(1, t4=1, X=1) - LaurentPoly.term(1, t4=-1, X=1))
-    onemx2 = LaurentPoly.one() - LaurentPoly.var("X", 2)
-    num = -(t3 * fhat_num) * onemx2 + tbar34 * (g + fhat_num)
+    num = -(t3 * fhat_num) * _ONE_MINUS_X2 + tbar34 * (g + fhat_num)
     return XFrac(num, j + 1).reduced()
 
 
@@ -384,8 +356,6 @@ def polyrep_act(f: LaurentPoly | XFrac, gen: str, generic_t34: bool = False) -> 
     t3 = t4 = 1; with generic parameters a single application generally
     leaves a (1 - X^2) pole and NonPolynomialResult is raised.
     """
-    if isinstance(f, LaurentPoly):
-        f = XFrac.poly(f)
     if gen == "T1":
         return t1_act(f).as_poly()
     if gen == "T3":
@@ -397,13 +367,10 @@ def hecke_defect(gen: str, n: int) -> XFrac:
     """(T - t)(T + t^-1) applied to X^n; identically zero when the
     quadratic Hecke relation holds.  T1 runs with formal (t1, t2), T3 with
     formal (t3, t4) on the rational carrier."""
-    xn = XFrac.poly(LaurentPoly.var("X", n))
-    if gen == "T1":
-        t, tinv = LaurentPoly.var("t1"), LaurentPoly.var("t1", -1)
-        step = t1_act(xn) + xn.scale(tinv)
-        return (t1_act(step) - step.scale(t)).reduced()
-    if gen == "T3":
-        t, tinv = LaurentPoly.var("t3"), LaurentPoly.var("t3", -1)
-        step = t3_act(xn) + xn.scale(tinv)
-        return (t3_act(step) - step.scale(t)).reduced()
-    raise ValueError(f"unknown generator {gen!r}")
+    try:
+        act, t = {"T1": (t1_act, "t1"), "T3": (t3_act, "t3")}[gen]
+    except KeyError:
+        raise ValueError(f"unknown generator {gen!r}") from None
+    xn = XFrac(LaurentPoly.var("X", n))
+    step = act(xn) + xn.scale(LaurentPoly.var(t, -1))
+    return (act(step) - step.scale(LaurentPoly.var(t))).reduced()

@@ -27,6 +27,10 @@ so that multiplying by a two-term monomial sum (``PackedBinomial``) is two
 integer shifts and an add.  A ``PackedLayout`` fixes the packing from
 bounds its caller proves and is the only code that knows the bit format.
 
+The one polynomial division is ``divide_binomial``: exact division by a sum
+of two +1 / -1 monomials, such as a brace {m} or 1 - X^2, which returns None
+on a remainder.
+
 All values are immutable after construction and every operation is a pure
 function, so values may be shared between threads freely.
 
@@ -369,26 +373,39 @@ def qbrace_poly(m: int) -> LaurentPoly:
     return LaurentPoly._raw({_mono_key(q=m)[0]: 1, _mono_key(q=-m)[0]: -1}, abs(m))
 
 
-def _divide_var_binomial(p: LaurentPoly, name: str, e_hi: int, c_hi: int,
-                         e_lo: int, c_lo: int) -> LaurentPoly | None:
-    """Exact division of ``p`` by ``c_hi*name^e_hi + c_lo*name^e_lo``.
+def divide_binomial(p: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """Exact division of ``p`` by ``b``, a sum of two +1 / -1 monomials, or None
+    if not exact; any other ``b`` raises ValueError.
 
-    The divisor coefficients must be +1 or -1 and e_hi > e_lo.  Returns
-    the quotient, or None when the division is not exact.  Synthetic
-    division along the distinguished variable, scanning exponents
-    downward; whatever cannot be absorbed is a remainder and aborts.
+    Synthetic division along the most significant variable in which the two
+    monomials of ``b`` differ: the higher one has a unit coefficient there,
+    so scanning that variable's exponents downward fixes the quotient a
+    bucket at a time, and whatever cannot be absorbed is a remainder.
     """
+    if len(b._t) != 2 or not {1, -1}.issuperset(b._t.values()):
+        raise ValueError("a binomial divisor is two +1 / -1 monomials")
     if p.is_zero:
         return p
-    sh = _SHIFTS[_VIDX[name]]
-    step = e_hi - e_lo
+    (k_lo, c_lo), (k_hi, c_hi) = sorted(b._t.items())
+    sh = ((k_hi ^ k_lo).bit_length() - 1) // _FIELD * _FIELD    # the lead variable's field
+    step = ((k_hi >> sh) & _MASK) - ((k_lo >> sh) & _MASK)
+    hi, lo = _unpack(k_hi), _unpack(k_lo)
+    # In each variable, p = b * quotient puts the quotient's exponents inside
+    # p's range when b's two exponents there are of opposite signs or 0, and
+    # within b's largest |exponent| of it otherwise.
+    extra = 0 if all(x * y <= 0 for x, y in zip(hi, lo)) else max(map(abs, hi + lo))
+    drift = max(abs(x - y) for x, y, s in zip(hi, lo, _SHIFTS) if s != sh)
     buckets: dict[int, dict[int, int]] = {}
     for k, c in p._t.items():
-        e = ((k >> sh) & _MASK) - _BIAS
-        buckets.setdefault(e, {})[k] = c
+        buckets.setdefault(((k >> sh) & _MASK) - _BIAS, {})[k] = c
     emax = max(buckets)
     emin = min(buckets)
+    # the quotient, and each remainder term as it moves by k_hi - k_lo past
+    # the buckets, must stay inside the exponent fields
+    if p._e + max(extra, (emax - emin) // step * drift) >= _BIAS:
+        raise OverflowError("binomial division could leave the supported exponent range")
     gain = -c_lo * c_hi
+    lead, delta = k_hi - _OFFSET, k_hi - k_lo
     quot: dict[int, int] = {}
     for e in range(emax, emin + step - 1, -1):
         cur = buckets.pop(e, None)
@@ -397,8 +414,8 @@ def _divide_var_binomial(p: LaurentPoly, name: str, e_hi: int, c_hi: int,
         low = buckets.setdefault(e - step, {})
         get = low.get
         for k, c in cur.items():
-            quot[k - (e_hi << sh)] = c_hi * c
-            kl = k - (step << sh)
+            quot[k - lead] = c_hi * c
+            kl = k - delta
             s = get(kl, 0) + gain * c
             if s:
                 low[kl] = s
@@ -407,18 +424,12 @@ def _divide_var_binomial(p: LaurentPoly, name: str, e_hi: int, c_hi: int,
     for rest in buckets.values():
         if rest:
             return None
-    # the quotient's exponents lie inside the dividend's range
-    return LaurentPoly._raw(quot, p._e)
+    return LaurentPoly._raw(quot, p._e + extra)
 
 
 def divide_brace(p: LaurentPoly, m: int) -> LaurentPoly | None:
     """Exact division by {m} = q^m - q^-m, or None if not exact."""
-    return _divide_var_binomial(p, "q", m, 1, -m, -1)
-
-
-def divide_one_minus_sq(p: LaurentPoly, name: str) -> LaurentPoly | None:
-    """Exact division by 1 - name^2, or None if not exact."""
-    return _divide_var_binomial(p, name, 2, -1, 0, 1)
+    return divide_binomial(p, qbrace_poly(m))
 
 
 def brace_product(ms: Iterable[int], p: LaurentPoly | None = None) -> LaurentPoly:
@@ -707,7 +718,8 @@ class QFraction:
             return NotImplemented
         if self.den == other.den:   # no common denominator to form
             return self.num == other.num
-        return (self - other).is_zero
+        (a, b), _ = _over_lcm([self, other])
+        return a == b
 
     def __hash__(self) -> int:
         # reduced() is not canonical (({9}/{3})/{9} stays as it is while
@@ -769,12 +781,32 @@ class QFraction:
         return f"QFraction({self.render()})"
 
 
+def _over_lcm(terms: list[QFraction]) -> tuple[list[LaurentPoly], list[int]]:
+    """Each term's numerator over the least common brace multiset of ``terms``
+    (each brace as often as the term that has it most), and that multiset."""
+    lcm: list[int] = []
+    for t in terms:
+        rest = list(lcm)
+        for m in t.den:
+            if m in rest:
+                rest.remove(m)
+            else:
+                lcm.append(m)
+    nums = []
+    for t in terms:
+        missing = list(lcm)
+        for m in t.den:
+            missing.remove(m)
+        nums.append(brace_product(missing, t.num))
+    return nums, lcm
+
+
 def qfrac_sum(terms: Iterable[QFraction]) -> QFraction:
     """Sum QFractions over their least common brace multiset at once.
 
-    The one place where fractions are brought over a common denominator:
-    ``+``, ``-`` and ``==`` of QFraction come here too.  Summing a whole
-    list at once is cheaper than folding it pairwise.
+    The one place where fractions are summed over a common denominator:
+    ``+`` and ``-`` of QFraction come here too.  Summing a whole list at
+    once is cheaper than folding it pairwise.
     """
     terms = [t for t in terms if t.num._t]
     if len(terms) < 2:
@@ -785,22 +817,8 @@ def qfrac_sum(terms: Iterable[QFraction]) -> QFraction:
         for t in terms[1:]:
             acc = acc + t.num
         return QFraction(acc, den)
-    # the least common multiset: each brace as often as the term that has it most
-    lcm: list[int] = []
-    for t in terms:
-        rest = list(lcm)
-        for m in t.den:
-            if m in rest:
-                rest.remove(m)
-            else:
-                lcm.append(m)
-    acc = LaurentPoly.zero()
-    for t in terms:
-        missing = list(lcm)
-        for m in t.den:
-            missing.remove(m)
-        acc = acc + brace_product(missing, t.num)
-    return QFraction(acc, lcm)
+    nums, lcm = _over_lcm(terms)
+    return QFraction(sum(nums, LaurentPoly.zero()), lcm)
 
 
 def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:

@@ -12,7 +12,7 @@ from typing import Callable
 
 from . import daha
 from .cyclo import (a_table, coeff_det_series, coeff_series, coeff_sum, coeff_t2one)
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, brace_product, divide_brace
 from .knots import (classical_jones, figure_eight, generalized_jones, sigma_trace,
                     universal_eval, unknot)
 from .macdonald import genfun_matches, mac_p, rogers_c, rogers_from_recurrence
@@ -178,12 +178,13 @@ def check_macdonald_schur(nmax: int | None = None) -> None:
 
 
 def check_quantum_trace(nmax: int | None = None) -> None:
-    """Casimir-scalar trace equals the classical coefficients, zero beyond."""
+    """Casimir-scalar trace equals the definition of the classical coefficient,
+    prod_{p=n-k}^{n+k} {2p} / {2}, and vanishes beyond."""
     top = _cap(10, nmax)
     for n in range(1, top + 1):
         for k in range(n):
-            _ensure(sigma_trace(k, n) == cyclotomic_c(n, k + 1),
-                    "quantum-trace", f"mismatch at k={k}, n={n}")
+            want = divide_brace(brace_product(range(2 * (n - k), 2 * (n + k) + 1, 2)), 2)
+            _ensure(sigma_trace(k, n) == want, "quantum-trace", f"mismatch at k={k}, n={n}")
         for k in range(n, n + 2):
             _ensure(sigma_trace(k, n).is_zero, "quantum-trace",
                     f"nonzero at k={k} >= n={n}")

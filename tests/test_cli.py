@@ -237,3 +237,42 @@ def test_broken_schur_value_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == "ok macdonald-recurrence\nok macdonald-genfun\n"
     assert err.startswith("invariant violation: ") and "does not cancel" in err
+
+
+def test_skew_failure_exits_two(capsys, monkeypatch, s_vector_cache):
+    # one term added to the U^2 entry of the first Dunkl step breaks U -> U^-1
+    # skew symmetry without leaving a brace remainder
+    pair = daha.dunkl_pair
+
+    def broken(f):
+        v = pair(f)
+        if max(v.support()) != 2:
+            return v
+        c = v.coeff(2)
+        return daha.UPoly({**v._c, 2: QFraction(c.num + LaurentPoly.var("q"), c.den)})
+
+    monkeypatch.setattr(daha, "dunkl_pair", broken)
+    code, out, err = run(capsys, ["verify", "--suite", "daha", "--nmax", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("invariant violation: ") and "skew" in err
+    assert err.count("\n") == 1
+
+
+def test_surviving_pole_exits_two(capsys, monkeypatch):
+    # a T1 that claims a (1 - X^2) pole: its second application meets it
+    real = daha.t1_act
+    monkeypatch.setattr(daha, "t1_act", lambda f: daha.XFrac(real(f).num, 1))
+    code, out, err = run(capsys, ["verify", "--suite", "daha", "--nmax", "2"])
+    assert code == 2
+    assert out == "ok operator-oracle\nok dunkl-eval\nok dunkl-inverse\n"
+    assert err == "invariant violation: a (1 - X^2) denominator survives\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "-n", "70000", "-i", "1"],
+    ["jones", "--knot", "unknot", "-n", "70000"],
+], ids=["coeff", "jones"])
+def test_size_past_the_packed_layout_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: packed layout bounds out of range\n"

@@ -165,6 +165,31 @@ def test_t1_action_examples():
         polyrep_act(L.var("X", n), "T1")
 
 
+def _geometric(n):
+    """(1 - (qX)^2n) / (1 - (qX)^2) read as a sum: forward for n >= 0, the
+    complementary negated range for n < 0."""
+    out = L.zero()
+    for k in (range(n) if n >= 0 else range(n, 0)):
+        out = out + L.term(1 if n >= 0 else -1, q=2 * k, X=2 * k)
+    return out
+
+
+def test_t1_matches_the_monomial_formula():
+    # T1 . X^n = t1 q^-2n X^-n + q^-2n X^-n (q^2 tbar1 X^2 + q tbar2 X) g_n,
+    # with g_n the geometric sum above, applied to X^n (q^3 + 2 t2 X^2)
+    tbar1 = L.var("t1") - L.var("t1", -1)
+    tbar2 = L.var("t2") - L.var("t2", -1)
+    bracket = L.term(1, q=2, X=2) * tbar1 + L.term(1, q=1, X=1) * tbar2
+
+    def monomial(n):
+        return L.term(1, q=-2 * n, X=-n) * (L.var("t1") + bracket * _geometric(n))
+
+    for n in range(-10, 11):
+        f = L.term(1, q=3, X=n) + L.term(2, t2=1, X=n + 2)
+        want = L.var("q", 3) * monomial(n) + L.term(2, t2=1) * monomial(n + 2)
+        assert daha.t1_act(f).num == want, n
+
+
 def test_t3_specialized_action():
     for n in range(-8, 9):
         assert polyrep_act(L.var("X", n), "T3") == L.term(-1, X=-n), n
@@ -179,6 +204,9 @@ def test_hecke_relations():
     for n in range(-8, 9):
         assert hecke_defect("T1", n).is_zero, ("T1", n)
         assert hecke_defect("T3", n).is_zero, ("T3", n)
+    for act in (hecke_defect, lambda gen, n: polyrep_act(L.var("X", n), gen)):
+        with pytest.raises(ValueError):
+            act("T2", 1)
 
 
 def test_xfrac_reduction():

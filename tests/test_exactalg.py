@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gjones import exactalg
 from gjones.exactalg import (IntegralityViolation, LaurentPoly, NonUnitConstantTerm,
                              PackedBinomial, PackedLayout, QFraction, TruncatedSeries,
-                             brace_product, divide_brace, divide_one_minus_sq, qbrace_poly,
+                             brace_product, divide_binomial, divide_brace, qbrace_poly,
                              qfrac_sum)
 
 L = LaurentPoly
@@ -62,7 +63,14 @@ def test_brace_square():
     (lambda: L.var("q", 100000) ** -8, OverflowError),
     (lambda: L({(600000, 0, 0, 0, 0, 0, 0, 0, 0): 1}), ValueError),
     (lambda: L.var("q", 5).substitute("q", L.var("q", 131071)), OverflowError),
-], ids=["q-power", "t1-power", "negative-power", "tuple-constructor", "substitute"])
+    # the quotient by X^5 - X^3 may reach 5 past the dividend's bound
+    (lambda: divide_binomial(L.var("q", 131071) ** 4, L.var("X", 5) - L.var("X", 3)),
+     OverflowError),
+    # a remainder term walks 2 in X for each step of 2 in q
+    (lambda: divide_binomial(L.var("q", 100000) ** 2 + L.var("q", 100000) ** -2,
+                             L.term(1, q=1, X=1) - L.term(1, q=-1, X=-1)), OverflowError),
+], ids=["q-power", "t1-power", "negative-power", "tuple-constructor", "substitute",
+        "binomial-quotient", "binomial-remainder"])
 def test_exponent_overflow_raises(make, exc):
     with pytest.raises(exc):
         make()
@@ -168,12 +176,71 @@ def test_divide_brace_examples():
     assert divide_brace(qbrace_poly(2) * qbrace_poly(6), 2) == qbrace_poly(6)
 
 
-def test_divide_one_minus_sq():
-    one = L.one()
-    X2 = L.var("X", 2)
-    p = (one - X2) * (L.var("X", -3) + L.term(2, q=1))
-    assert divide_one_minus_sq(p, "X") == L.var("X", -3) + L.term(2, q=1)
-    assert divide_one_minus_sq(one + X2, "X") is None
+def test_divide_binomial_examples():
+    one, X2 = L.one(), L.var("X", 2)
+    p = L.var("X", -3) + L.term(2, q=1)
+    assert divide_binomial((one - X2) * p, one - X2) == p
+    assert divide_binomial(one + X2, one - X2) is None
+    # a brace {m} is a binomial too, and divide_brace is that division
+    for m in (1, 2, 5):
+        r = p * L.var("t1") + L.term(3, q=2 * m)
+        for n in (r, r * qbrace_poly(m)):
+            assert divide_binomial(n, qbrace_poly(m)) == divide_brace(n, m)
+    assert divide_brace(p * qbrace_poly(3), 3) == p
+    # T1's divisor: the lead variable is q, and the quotient moves in X too
+    d = L.term(1, q=1, X=1) - L.term(1, q=-1, X=-1)
+    assert divide_binomial(L.var("X", 1) - L.term(1, q=-2, X=-1), d) == L.var("q", -1)
+    assert divide_binomial(L.var("X", 1), d) is None
+    assert divide_binomial(L.zero(), d).is_zero
+
+
+@pytest.mark.parametrize("b", [
+    L.zero(), L.one(), L.var("q"), L.var("q") + L.one() + L.var("X"),
+    L.term(2, q=1) - L.one(), L.var("q") + L.term(3, X=1),
+], ids=["zero", "one", "monomial", "three-terms", "coeff-2-high", "coeff-3-low"])
+def test_divide_binomial_refuses_other_divisors(b):
+    with pytest.raises(ValueError):
+        divide_binomial(L.var("q"), b)
+
+
+def binomials(vars=("q", "t1", "X"), exp=5):
+    """Two distinct +1 / -1 monomials, exponents of either sign or both of one sign."""
+    mono = st.tuples(*[st.integers(-exp, exp) for _ in vars])
+    return st.builds(
+        lambda a, ca, b, cb: L.term(ca, **dict(zip(vars, a))) + L.term(cb, **dict(zip(vars, b))),
+        mono, st.sampled_from((1, -1)), mono, st.sampled_from((1, -1)),
+    ).filter(lambda b: len(b) == 2)
+
+
+def _largest_exponent(p):
+    return max((abs(e) for mono, _ in p.terms_sorted() for e in mono), default=0)
+
+
+def _tight(p):
+    """``p`` rebuilt from its terms, so that its exponent bound is the exact one."""
+    return L(dict(p.terms_sorted()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(vars=("q", "t1", "X")), binomials(), signed_monomials(vars=("q", "t1", "X")))
+def test_divide_binomial_inverts_multiplication(p, b, extra):
+    n = _tight(p * b)
+    quot = divide_binomial(n, b)
+    assert quot == p
+    assert _largest_exponent(quot) <= quot._e
+    # a monomial is never a multiple of b, so one more leaves a remainder
+    assert divide_binomial(n + extra, b) is None
+
+
+def test_divide_binomial_asymmetric_exponents():
+    # X^5 - X^3 has both exponents positive: the quotient reaches past p's range
+    b = L.var("X", 5) - L.var("X", 3)
+    p = L.var("X", -7) + L.term(2, t1=1)
+    n = _tight(p * b)
+    assert n._e == 5
+    quot = divide_binomial(n, b)
+    assert quot == p and _largest_exponent(quot) == 7 <= quot._e
+    assert divide_binomial(n + L.one(), b) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +285,30 @@ def test_hash_agrees_with_eq():
     f = QFraction(brace_product((3, 9), p), (3, 9))
     assert p == f and f == p
     assert hash(p) == hash(f) and len({p, f}) == 1 and len({f, p}) == 1
+
+
+def test_eq_across_denominators_forms_no_sum(monkeypatch):
+    def no_sum(terms):
+        raise AssertionError("== formed a sum")
+
+    monkeypatch.setattr(exactalg, "qfrac_sum", no_sum)
+    p = L.term(2, q=1, t1=-1) - L.var("t2")
+    a = QFraction(brace_product((3, 9), p), (3, 9))
+    assert a == QFraction(brace_product((5,), p), (5,)) and a == p and p == a
+    assert a != QFraction(brace_product((5,), p), (3,)) and a != p * 2 and p * 2 != a
+    # ({9}/{3})/{9} equals 1/{3} over the common multiset {3}{9}
+    assert QFraction(qbrace_poly(9), (3, 9)) == QFraction(1, (3,))
+    assert QFraction(qbrace_poly(9), (3, 9)) != QFraction(-1, (3,))
+    assert QFraction(qbrace_poly(4), (2,)) == L.var("q", 2) + L.var("q", -2)
+    assert QFraction(qbrace_poly(4) * 3, (4,)) == 3 and QFraction(qbrace_poly(4), (2, 4)) != 3
+    assert QFraction(1, (2,)) != 0 and QFraction(0, (2,)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions(), fractions())
+def test_eq_matches_cross_multiplication(a, b):
+    want = a.num * brace_product(b.den) == b.num * brace_product(a.den)
+    assert (a == b) == want == (b == a)
 
 
 def test_fraction_arithmetic_common_denominator():

@@ -1,5 +1,7 @@
 import pytest
 
+from gjones import knots, qcombo
+from gjones.exactalg import LaurentPoly
 from gjones.verify import CHECKS, SUITES, CheckFailed, run_suite
 
 
@@ -29,3 +31,24 @@ def test_checks_accept_small_bounds():
 
 def test_checkfailed_is_assertion():
     assert issubclass(CheckFailed, AssertionError)
+
+
+@pytest.fixture
+def cyclotomic_cache():
+    qcombo.cyclotomic_c.cache_clear()
+    yield
+    qcombo.cyclotomic_c.cache_clear()
+
+
+def test_quantum_trace_catches_a_wrong_q_integer(monkeypatch, cyclotomic_cache):
+    # the trace and the cyclotomic coefficients both start from [n]; the check
+    # compares the trace with the brace-product definition, which does not
+    real = qcombo.qint
+
+    def wrong(n, base):
+        return real(n, base) + LaurentPoly.one()
+
+    monkeypatch.setattr(qcombo, "qint", wrong)
+    monkeypatch.setattr(knots, "qint", wrong)
+    with pytest.raises(CheckFailed, match="quantum-trace"):
+        CHECKS["quantum-trace"](3)
