@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .cyclo import IntegralityViolation, a_table, check_route, coefficient, specialize
+from .cyclo import ROUTES, IntegralityViolation, a_table, check_route, coefficient, specialize
 from .daha import NonPolynomialResult, NotSkewSymmetric
 from .exactalg import LaurentPoly, QFraction
 from .knots import KnotRecord, builtin_knot, generalized_jones, load_knot_file
@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     pc.add_argument("-n", type=int, required=True)
     pc.add_argument("-i", type=int, required=True)
     pc.add_argument("--classic", action="store_true", help="classical coefficient")
-    pc.add_argument("--route", default="series", choices=("sum", "series", "det", "macdonald"),
+    pc.add_argument("--route", default="series", choices=ROUTES,
                     help=_ROUTE_HELP)
     _add_common(pc)
 
@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
     src.add_argument("--knot", help="built-in knot name")
     src.add_argument("--knot-file", help="path to a knot record JSON file")
     pj.add_argument("-n", type=int, required=True)
-    pj.add_argument("--route", default="series", choices=("sum", "series", "macdonald"),
+    pj.add_argument("--route", default="series", choices=tuple(r for r in ROUTES if r != "det"),
                     help=_ROUTE_HELP)
     _add_common(pj, order=False)
 
@@ -152,7 +152,7 @@ def _cmd_table(args) -> str:
     else:
         for n in range(1, nmax + 1):
             if args.what == "coeff":
-                coefficient(n, n, t1=t1, t2=t2)     # the corner first: one sweep per row
+                coefficient(n, n, t1=t1, t2=t2)     # the corner first: _row makes each row once
             for i in range(1, n + 1):
                 if args.what == "classic":
                     poly = cyclotomic_c(n, i)
@@ -179,7 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         print(cmd(args))
         return 0
     except (CLIError, ValueError, LookupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
     except (CheckFailed, IntegralityViolation, NotSkewSymmetric, NonPolynomialResult) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

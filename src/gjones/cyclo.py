@@ -147,23 +147,16 @@ def _sum_row(n: int, width: int) -> tuple[LaurentPoly, ...]:
     return tuple(out)
 
 
-# chat[n][1..w] per n by the sum route, widened only when a larger i is asked for
-_SUM_ROWS: dict[int, tuple[LaurentPoly, ...]] = {}
-
-
 def coeff_sum(n: int, i: int) -> LaurentPoly:
     """Generalized cyclotomic coefficient via sum_{p=i}^{n} (-1)^(n+p) a[n][p] c[p][i-1].
 
     The classical coefficients vanish for p < i, so the sum starts at i.  The
     Newton step of the module docstring makes chat[n][1..i], one sum over D_n {2}
-    per coefficient divided exactly; a later, wider request makes the whole row.
+    per coefficient divided exactly, held in the row cache of ``_row``.
     """
     if i < 1 or n < i:
         raise IndexError(f"coeff_sum out of range: n={n}, i={i}")
-    row = _SUM_ROWS.get(n)
-    if row is None or len(row) < i:
-        row = _SUM_ROWS[n] = _sum_row(n, i if row is None else n)
-    return row[i - 1]
+    return _row("sum", n, i)[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +318,6 @@ def _sweep(n: int, width: int, t1_one: bool = False, t2_one: bool = False
     return tuple(out)
 
 
-# chat[n][1..w] per (n, t1 = 1?, t2 = 1?), widened only when a larger i is asked for
-_CHAT_ROWS: dict[tuple[int, bool, bool], tuple[LaurentPoly, ...]] = {}
-
-
-def _chat_row(n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly, ...]:
-    """chat[n][1..w] for some w >= width, specialized as asked.
-
-    The first request for a row takes only ``width`` entries; a later,
-    wider one takes the whole row, so requests in ascending i sweep a row
-    at most twice.  A specialized row is the first entries of the formal
-    row, specialized, when the formal row is cached wide enough, and comes
-    from a specialized sweep otherwise.
-    """
-    t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
-    row = _CHAT_ROWS.get((n, t1_one, t2_one))
-    if row is None or len(row) < width:
-        if row is not None:
-            width = n
-        formal = _CHAT_ROWS.get((n, False, False))
-        if formal is not None and len(formal) >= width:
-            row = tuple(specialize(p, t1, t2) for p in formal[:width])
-        else:
-            row = _sweep(n, width, t1_one, t2_one)
-        _CHAT_ROWS[n, t1_one, t2_one] = row
-    return row
-
-
 def coeff_series(i: int, order: int) -> TruncatedSeries:
     """Generating series sum_n chat[n][i] lam^n to ``order``, read off the sweep.
 
@@ -361,7 +327,7 @@ def coeff_series(i: int, order: int) -> TruncatedSeries:
         raise ValueError("coeff_series requires i >= 1")
     if order < i:
         raise ValueError("order must be at least i")
-    return TruncatedSeries([0] * i + [_chat_row(n, i)[i - 1] for n in range(i, order + 1)],
+    return TruncatedSeries([0] * i + [_row("series", n, i)[i - 1] for n in range(i, order + 1)],
                            order)
 
 
@@ -456,25 +422,54 @@ def check_route(route: str, t1=None, t2=None, i: int = 1) -> None:
         raise RouteUnavailable("the macdonald route needs t2 = 1")
 
 
+# chat[n][1..w] per (route, n, t1 = 1?, t2 = 1?), widened only when a larger i is asked for
+_ROWS: dict[tuple[str, int, bool, bool], tuple[LaurentPoly, ...]] = {}
+
+
+def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly, ...]:
+    """chat[n][1..w] by ``route`` (series, sum or macdonald) for some w >= width,
+    specialized as asked.
+
+    The first request for a row makes ``width`` entries and a later, wider
+    one the whole row, so requests in ascending i make a row at most twice.
+    A specialized row is the route's own row (formal for series and sum,
+    t2 = 1 for macdonald), specialized entry by entry, when that is cached
+    wide enough.  Otherwise series sweeps the row already specialized and
+    macdonald sets t1 = 1 where asked; sum only ever gets formal requests.
+    """
+    t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
+    row = _ROWS.get((route, n, t1_one, t2_one))
+    if row is None or len(row) < width:
+        if row is not None:
+            width = n
+        mac = route == "macdonald"
+        own = _ROWS.get((route, n, False, mac))
+        if own is not None and len(own) >= width:
+            row = tuple(specialize(p, t1, None if mac else t2) for p in own[:width])
+        elif route == "series":
+            row = _sweep(n, width, t1_one, t2_one)
+        elif mac:
+            row = tuple(specialize(coeff_t2one(n, j), t1) for j in range(1, width + 1))
+        else:
+            row = _sum_row(n, width)
+        _ROWS[route, n, t1_one, t2_one] = row
+    return row
+
+
 def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> LaurentPoly:
     """The generalized cyclotomic coefficient chat[n][i-1](q, t1, t2), 1 <= i <= n.
 
     ``route`` is one of ROUTES; every route gives the same polynomial where
     it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
     formal variable) or the int 1.  The default series route divides only
-    by {2}, once per coefficient, and caches the row chat[n][1..i]; a
-    later request for a wider i of the same row sweeps the whole row.  The
-    det route truncates its series at order n.
+    by {2}, once per coefficient.  The series and macdonald routes read the
+    row cached by ``_row``; the sum route specializes ``coeff_sum``'s entry.
+    The det route truncates its series at order n.
     """
     check_route(route, t1, t2, i)
     if i < 1 or n < i:
         raise IndexError(f"coefficient out of range: n={n}, i={i}")
-    if route == "series":
-        return _chat_row(n, i, t1, t2)[i - 1]
-    if route == "sum":
-        poly = coeff_sum(n, i)
-    elif route == "macdonald":
-        poly = coeff_t2one(n, i)
-    else:
-        poly = coeff_det_series(i, n).coeff(n)
+    if route in ("series", "macdonald"):
+        return _row(route, n, i, t1, t2)[i - 1]
+    poly = coeff_sum(n, i) if route == "sum" else coeff_det_series(i, n).coeff(n)
     return specialize(poly, t1, t2)

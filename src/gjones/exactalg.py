@@ -771,7 +771,8 @@ class QFraction:
     def render(self, fmt: str = "text") -> str:
         if not self.den:
             return self.num.render(fmt)
-        braces = "".join("{%d}" % m for m in self.den)
+        brace = r"\{%d\}" if fmt == "latex" else "{%d}"     # a bare {3} is a TeX group
+        braces = "".join(brace % m for m in self.den)
         return f"({self.num.render(fmt)}) / {braces}"
 
     def __str__(self) -> str:

@@ -146,7 +146,7 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
     check_route(route, t1, t2)
     habiro = [knot.habiro_at(i - 1) for i in range(1, n + 1)]
     out = LaurentPoly.zero()
-    # the widest coefficient first, so that the series route sweeps the row once
+    # the widest coefficient first: the row cache of cyclo._row then makes the row once
     for i in range(n, 0, -1):
         h = habiro[i - 1]
         if not h.is_zero:

@@ -36,7 +36,7 @@ def check_integrality(nmax: int | None = None) -> None:
     """Every generalized coefficient reduces to an integer Laurent polynomial."""
     top = _cap(10, nmax)
     for n in range(1, top + 1):
-        for i in range(n, 0, -1):    # the widest i first: each row is made once
+        for i in range(n, 0, -1):    # the widest i first: cyclo._row makes each row once
             coeff_sum(n, i)   # raises IntegralityViolation on failure
 
 
@@ -53,7 +53,7 @@ def check_classical_specialization(nmax: int | None = None) -> None:
 def check_routes_series(nmax: int | None = None) -> None:
     """Recurrence-sum route equals the lam-series route, for every i <= n."""
     top = _cap(8, nmax)
-    # the widest i first: each row n is then swept once, at i = n
+    # the widest i first: cyclo._row then makes each row n once, at i = n
     for i in range(top, 0, -1):
         series = coeff_series(i, top)
         for n in range(1, top + 1):

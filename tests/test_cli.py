@@ -101,6 +101,12 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1 and "i <= 3" in err
 
 
+def test_unknown_knot_message_is_unquoted(capsys):
+    # the KeyError's message, not its repr
+    assert run(capsys, ["jones", "--knot", "nosuch", "-n", "2"]) == (
+        1, "", "error: unknown knot 'nosuch'; built-ins: unknot, figure-eight\n")
+
+
 @pytest.mark.parametrize("route", ["series", "sum"])
 def test_order_below_n_exits_one(capsys, route):
     code, out, err = run(capsys, ["coeff", "-n", "4", "-i", "2", "--route", route,

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import random
 from types import MappingProxyType
@@ -12,7 +13,7 @@ from gjones.cyclo import (ROUTES, IntegralityViolation, RouteUnavailable, _eigen
                           a_table, b_entry, coeff_det_series, coeff_series, coeff_sum,
                           coeff_t2one, coefficient, gamma_lam, integral, specialize)
 from gjones.exactalg import LaurentPoly as L, QFraction as F, divide_brace, qbrace_poly
-from gjones.knots import figure_eight, generalized_jones, universal_eval
+from gjones.knots import figure_eight, generalized_jones, load_knot_file, universal_eval, unknot
 from gjones.qcombo import cyclotomic_c, row_braces
 
 NMAX = 6
@@ -67,7 +68,7 @@ def test_table_grows_once(monkeypatch):
     built = []
     sum_row = cyclo._sum_row
     monkeypatch.setattr(cyclo, "_sum_row", lambda n, w: built.append((n, w)) or sum_row(n, w))
-    monkeypatch.setattr(cyclo, "_SUM_ROWS", {})
+    monkeypatch.setattr(cyclo, "_ROWS", {})
     for i in range(1, 9):
         coeff_sum(8, i)
     assert a_table.cache_info().misses == 8     # rows 1..8, each built once
@@ -140,7 +141,7 @@ def broken_row(monkeypatch):
     which divides {9}, and pass the row step)."""
     real = cyclo.a_table
     real.cache_clear()
-    monkeypatch.setattr(cyclo, "_SUM_ROWS", {})
+    monkeypatch.setattr(cyclo, "_ROWS", {})
     row = dict(real(4))
     row[2] = F(row[2].num + L.one(), row[2].den)
 
@@ -285,33 +286,59 @@ def test_each_colour_swept_once(monkeypatch, capsys):
     swept = []
     sweep = cyclo._sweep
     monkeypatch.setattr(cyclo, "_sweep", lambda n, *args: swept.append(n) or sweep(n, *args))
-    monkeypatch.setattr(cyclo, "_CHAT_ROWS", {})
+    monkeypatch.setattr(cyclo, "_ROWS", {})
     for n in range(1, 7):
         generalized_jones(figure_eight(), n)
     assert swept == [1, 2, 3, 4, 5, 6]
     for spec in ([], ["--t1", "1"]):
         swept.clear()
-        monkeypatch.setattr(cyclo, "_CHAT_ROWS", {})
+        monkeypatch.setattr(cyclo, "_ROWS", {})
         assert main(["table", "-n", "6", "--what", "coeff", *spec]) == 0
         assert swept == [1, 2, 3, 4, 5, 6], spec
     capsys.readouterr()
     # ascending i: the first request sweeps its width, the next one the whole row
     swept.clear()
-    monkeypatch.setattr(cyclo, "_CHAT_ROWS", {})
+    monkeypatch.setattr(cyclo, "_ROWS", {})
     for i in range(1, 8):
         coefficient(7, i)
     assert swept == [7, 7]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.integers(1, 6), st.sampled_from((None, 1)), st.sampled_from((None, 1)),
-       st.booleans())
-def test_series_specializes_like_sum(data, n, t1, t2, formal_first):
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from((("series", None), ("series", 1),
+                                                       ("macdonald", 1))),
+       st.sampled_from((None, 1)))
+def test_rows_specialize_like_sum(data, n, route_t2, t1):
+    route, t2 = route_t2
     i = data.draw(st.integers(1, n))
-    cyclo._CHAT_ROWS.clear()
-    if formal_first:
-        coefficient(n, n)     # the specialized row then comes from the cached formal row
-    assert coefficient(n, i, "series", t1, t2) == specialize(coeff_sum(n, i), t1, t2)
+    own = data.draw(st.integers(0, n))      # the width of the own row cached first, if any
+    cyclo._ROWS.clear()
+    if own:
+        coefficient(n, own, route, t2=1 if route == "macdonald" else None)
+    assert coefficient(n, i, route, t1, t2) == specialize(coeff_sum(n, i), t1, t2)
+
+
+def test_macdonald_rows_made_once(monkeypatch, tmp_path):
+    made = []
+    t2one = cyclo.coeff_t2one
+    monkeypatch.setattr(cyclo, "coeff_t2one", lambda n, i: made.append((n, i)) or t2one(n, i))
+    monkeypatch.setattr(cyclo, "_ROWS", {})
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"name": "sparse", "habiro": [
+        [[0, 1]], [[2, 1], [-2, -1]], [], [[4, 3], [0, -1], [-6, 2]], [], [[1, 1]]]}))
+    session = (figure_eight(), unknot(), load_knot_file(str(path)))
+    for n in range(1, 7):
+        for knot in session:
+            generalized_jones(knot, n, t2=1, route="macdonald")
+    # figure-eight makes each row whole; the other knots read it
+    assert made == [(n, i) for n in range(1, 7) for i in range(1, n + 1)]
+    made.clear()
+    for n in range(1, 7):
+        for knot in session:
+            want = generalized_jones(knot, n, t2=1, route="macdonald").substitute("t1", 1)
+            assert generalized_jones(knot, n, t1=1, t2=1, route="macdonald") == want, (n, knot)
+    # the t1 = 1 rows are the cached t2 = 1 rows, specialized
+    assert made == []
 
 
 # -- determinant route ------------------------------------------------------------

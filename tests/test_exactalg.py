@@ -162,6 +162,13 @@ def test_canonical_text_rendering():
     assert L.term(1, q=2, t2=-1).render("latex") == "q^{2}t_2^{-1}"
 
 
+def test_fraction_latex_escapes_braces():
+    # {3}{5} is a product of q-braces; unescaped, TeX reads two groups, the integer 35
+    f = QFraction(L.var("q"), (3, 5))
+    assert f.render("latex") == r"(q) / \{3\}\{5\}"
+    assert f.render() == "(q) / {3}{5}"
+
+
 def test_json_terms_order_and_shape():
     p = L.term(2, q=1, U=-1) + L.term(-1, q=-1)
     assert p.json_terms() == [[-1, 0, 0, 0, 0, 0, 0, -1], [1, 0, 0, -1, 0, 0, 0, 2]]
