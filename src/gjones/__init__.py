@@ -24,7 +24,7 @@ from .daha import (NonPolynomialResult, NotSkewSymmetric, UPoly, XFrac, act_basi
                    polyrep_act, t1_act, t3_act, transition_row)
 from .cyclo import (IntegralityViolation, RouteUnavailable, a_ratio, a_table,
                     coeff_det_series, coeff_series, coeff_sum, coeff_t2one, coefficient,
-                    specialize)
+                    coefficient_row, specialize)
 from .macdonald import (DegenerateRecurrence, genfun_matches, mac_p, renorm_factor,
                         rogers_c, rogers_from_recurrence)
 from .knots import (KnotRecord, MissingHabiro, builtin_knot, classical_jones,

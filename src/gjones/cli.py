@@ -19,9 +19,9 @@ import argparse
 import json
 import sys
 
-from .cyclo import ROUTES, IntegralityViolation, a_table, check_route, coefficient, specialize
+from .cyclo import ROUTES, a_table, check_route, coefficient, coefficient_row, specialize
 from .daha import NonPolynomialResult, NotSkewSymmetric
-from .exactalg import LaurentPoly, QFraction
+from .exactalg import IntegralityViolation, LaurentPoly, QFraction
 from .knots import KnotRecord, builtin_knot, generalized_jones, load_knot_file
 from .qcombo import cyclotomic_c
 from .verify import SUITES, CheckFailed, run_suite
@@ -150,16 +150,11 @@ def _cmd_table(args) -> str:
                 else:
                     lines.append(f"a[{n},{p}] = {f.render(args.format)}")
     else:
+        label = "c" if args.what == "classic" else "chat"
         for n in range(1, nmax + 1):
-            if args.what == "coeff":
-                coefficient(n, n, t1=t1, t2=t2)     # the corner first: _row makes each row once
-            for i in range(1, n + 1):
-                if args.what == "classic":
-                    poly = cyclotomic_c(n, i)
-                    label = "c"
-                else:
-                    poly = coefficient(n, i, t1=t1, t2=t2)
-                    label = "chat"
+            row = (coefficient_row(n, n, t1=t1, t2=t2) if args.what == "coeff"
+                   else [cyclotomic_c(n, i) for i in range(1, n + 1)])
+            for i, poly in enumerate(row, 1):
                 if args.format == "json":
                     rows.append({"n": n, "i": i, "terms": poly.json_terms()})
                 else:

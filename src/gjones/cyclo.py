@@ -29,8 +29,8 @@ Generalized cyclotomic coefficients are then available by four routes:
 * ``coeff_det_series`` same series from a small bordered determinant;
 * ``coeff_t2one``      closed form at t2 = 1 via Rogers polynomials.
 
-``coefficient`` is the one entry point that picks a route, checks that it
-applies, specializes t1 / t2 and insists on an integer Laurent polynomial.
+``coefficient`` and ``coefficient_row`` (chat[n][1..width]) pick a route, check that
+it applies and specialize t1 / t2; callers ask for rows, and only this module orders them.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly,
     A specialized row is the route's own row (formal for series and sum,
     t2 = 1 for macdonald), specialized entry by entry, when that is cached
     wide enough.  Otherwise series sweeps the row already specialized and
-    macdonald sets t1 = 1 where asked; sum only ever gets formal requests.
+    macdonald makes its own row first; sum only ever gets formal requests.
     """
     t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
     row = _ROWS.get((route, n, t1_one, t2_one))
@@ -443,17 +443,25 @@ def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly,
         if row is not None:
             width = n
         mac = route == "macdonald"
-        own = _ROWS.get((route, n, False, mac))
+        own = _row(route, n, width, t2=t2) if mac and t1_one else _ROWS.get((route, n, False, mac))
         if own is not None and len(own) >= width:
             row = tuple(specialize(p, t1, None if mac else t2) for p in own[:width])
         elif route == "series":
             row = _sweep(n, width, t1_one, t2_one)
         elif mac:
-            row = tuple(specialize(coeff_t2one(n, j), t1) for j in range(1, width + 1))
+            row = tuple(coeff_t2one(n, j) for j in range(1, width + 1))
         else:
             row = _sum_row(n, width)
         _ROWS[route, n, t1_one, t2_one] = row
     return row
+
+
+def _checked(n: int, i: int, route: str, t1, t2, least: int) -> bool:
+    """``check_route`` and least <= i <= n; whether ``_row`` holds the route's rows."""
+    check_route(route, t1, t2, i)
+    if i < least or n < i:
+        raise IndexError(f"coefficient out of range: n={n}, i={i}")
+    return route in ("series", "macdonald")
 
 
 def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> LaurentPoly:
@@ -466,10 +474,16 @@ def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> Laur
     row cached by ``_row``; the sum route specializes ``coeff_sum``'s entry.
     The det route truncates its series at order n.
     """
-    check_route(route, t1, t2, i)
-    if i < 1 or n < i:
-        raise IndexError(f"coefficient out of range: n={n}, i={i}")
-    if route in ("series", "macdonald"):
+    if _checked(n, i, route, t1, t2, 1):
         return _row(route, n, i, t1, t2)[i - 1]
     poly = coeff_sum(n, i) if route == "sum" else coeff_det_series(i, n).coeff(n)
     return specialize(poly, t1, t2)
+
+
+def coefficient_row(n: int, width: int, route: str = "series", t1=None, t2=None
+                    ) -> tuple[LaurentPoly, ...]:
+    """chat[n][1..width], 0 <= width <= n, as ``coefficient`` gives them: one ``_row``
+    lookup, or for sum and det one entry at a time, the widest first (see ``_row``)."""
+    if _checked(n, width, route, t1, t2, 0):
+        return _row(route, n, width, t1, t2)[:width] if width else ()
+    return tuple(reversed([coefficient(n, i, route, t1, t2) for i in range(width, 0, -1)]))

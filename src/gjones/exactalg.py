@@ -85,6 +85,12 @@ def _unpack(key: int) -> tuple[int, ...]:
     return tuple(((key >> s) & _MASK) - _BIAS for s in _SHIFTS)
 
 
+def _require_int(value, what: str) -> None:
+    """Raise TypeError unless ``value`` is an int; a bool is not one here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__} {value!r}")
+
+
 def _mono_key(**exps: int) -> tuple[int, int]:
     """The packed key of a monomial and its largest |exponent|."""
     key = _OFFSET
@@ -92,6 +98,7 @@ def _mono_key(**exps: int) -> tuple[int, int]:
     for name, e in exps.items():
         if name not in _VIDX:
             raise ValueError(f"unknown variable {name!r}; allowed: {', '.join(VARS)}")
+        _require_int(e, f"the exponent of {name}")
         if abs(e) >= _EXP_LIMIT:
             raise ValueError(f"exponent {e} out of supported range")
         bound = max(bound, abs(e))
@@ -110,6 +117,14 @@ class LaurentPoly:
     __slots__ = ("_t", "_e")
 
     def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
+        """Terms keyed by exponent tuples with one int per variable of ``VARS``."""
+        for mono, c in (terms or {}).items():
+            if len(mono) != _NV:
+                raise ValueError(f"a monomial needs {_NV} exponents, one per variable of VARS, "
+                                 f"got {mono!r}")
+            _require_int(c, "a coefficient")
+            for e in mono:
+                _require_int(e, "an exponent")
         terms = {mono: c for mono, c in (terms or {}).items() if c}
         self._e = max((abs(e) for mono in terms for e in mono), default=0)
         if self._e >= _EXP_LIMIT:
@@ -135,11 +150,13 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> LaurentPoly:
+        _require_int(c, "a coefficient")
         return cls._raw({_OFFSET: c} if c else {}, 0)
 
     @classmethod
     def term(cls, coeff: int, **exps: int) -> LaurentPoly:
         """Single term ``coeff * prod(var^exp)``, e.g. ``term(-3, q=2, t1=-1)``."""
+        _require_int(coeff, "a coefficient")
         key, bound = _mono_key(**exps)
         return cls._raw({key: coeff} if coeff else {}, bound)
 

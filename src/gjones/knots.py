@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import RouteUnavailable, a_table, check_route, coefficient, integral, specialize
+from .cyclo import RouteUnavailable, a_table, check_route, coefficient_row, integral, specialize
 from .exactalg import LaurentPoly, QFraction
 from .qcombo import cyclotomic_c, qint, row_braces
 
@@ -143,15 +143,12 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
         raise ValueError("color n must be >= 0")
     if route == "det":
         raise RouteUnavailable("the det route does not reach knot polynomials")
-    check_route(route, t1, t2)
-    habiro = [knot.habiro_at(i - 1) for i in range(1, n + 1)]
-    out = LaurentPoly.zero()
-    # the widest coefficient first: the row cache of cyclo._row then makes the row once
-    for i in range(n, 0, -1):
-        h = habiro[i - 1]
-        if not h.is_zero:
-            out = out + coefficient(n, i, route, t1, t2) * h
-    return out
+    habiro = [knot.habiro_at(k) for k in range(n)]
+    while habiro and habiro[-1].is_zero:    # the row reaches the last nonzero H_k
+        habiro.pop()
+    row = coefficient_row(n, len(habiro), route, t1, t2)
+    # chat[n][i] grows with i and + loops over its right operand: the largest goes in first
+    return sum((chat * h for chat, h in zip(reversed(row), reversed(habiro))), LaurentPoly.zero())
 
 
 def sigma_trace(k: int, n: int) -> LaurentPoly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import daha
-from .cyclo import (a_table, coeff_det_series, coeff_series, coeff_sum, coeff_t2one)
+from .cyclo import a_table, coeff_det_series, coeff_series, coeff_sum, coeff_t2one, coefficient_row
 from .exactalg import LaurentPoly, brace_product, divide_brace
 from .knots import (classical_jones, figure_eight, generalized_jones, sigma_trace,
                     universal_eval, unknot)
@@ -36,16 +36,14 @@ def check_integrality(nmax: int | None = None) -> None:
     """Every generalized coefficient reduces to an integer Laurent polynomial."""
     top = _cap(10, nmax)
     for n in range(1, top + 1):
-        for i in range(n, 0, -1):    # the widest i first: cyclo._row makes each row once
-            coeff_sum(n, i)   # raises IntegralityViolation on failure
+        coefficient_row(n, n, "sum")    # raises IntegralityViolation on failure
 
 
 def check_classical_specialization(nmax: int | None = None) -> None:
     """chat(q, 1, 1) equals the classical coefficient, exactly."""
     top = _cap(10, nmax)
     for n in range(1, top + 1):
-        for i in range(n, 0, -1):
-            got = coeff_sum(n, i).substitute("t1", 1).substitute("t2", 1)
+        for i, got in enumerate(coefficient_row(n, n, "sum", t1=1, t2=1), 1):
             _ensure(got == cyclotomic_c(n, i), "classical-specialization",
                     f"mismatch at n={n}, i={i}")
 
@@ -53,13 +51,9 @@ def check_classical_specialization(nmax: int | None = None) -> None:
 def check_routes_series(nmax: int | None = None) -> None:
     """Recurrence-sum route equals the lam-series route, for every i <= n."""
     top = _cap(8, nmax)
-    # the widest i first: cyclo._row then makes each row n once, at i = n
-    for i in range(top, 0, -1):
-        series = coeff_series(i, top)
-        for n in range(1, top + 1):
-            want = coeff_sum(n, i) if n >= i else 0
-            _ensure(series.coeff(n) == want, "routes-series",
-                    f"mismatch at n={n}, i={i}")
+    for n in range(1, top + 1):
+        for i, (s, want) in enumerate(zip(coefficient_row(n, n), coefficient_row(n, n, "sum")), 1):
+            _ensure(s == want, "routes-series", f"mismatch at n={n}, i={i}")
 
 
 def check_routes_det(nmax: int | None = None) -> None:

@@ -11,7 +11,8 @@ from gjones import cyclo, daha, knots
 from gjones.cli import main
 from gjones.cyclo import (ROUTES, IntegralityViolation, RouteUnavailable, _eigen_layers, a_ratio,
                           a_table, b_entry, coeff_det_series, coeff_series, coeff_sum,
-                          coeff_t2one, coefficient, gamma_lam, integral, specialize)
+                          coeff_t2one, coefficient, coefficient_row, gamma_lam, integral,
+                          specialize)
 from gjones.exactalg import LaurentPoly as L, QFraction as F, divide_brace, qbrace_poly
 from gjones.knots import figure_eight, generalized_jones, load_knot_file, universal_eval, unknot
 from gjones.qcombo import cyclotomic_c, row_braces
@@ -283,25 +284,35 @@ def test_series_vanishing_below_diagonal():
 
 
 def test_each_colour_swept_once(monkeypatch, capsys):
-    swept = []
+    swept = []      # (n, width) of each sweep
     sweep = cyclo._sweep
-    monkeypatch.setattr(cyclo, "_sweep", lambda n, *args: swept.append(n) or sweep(n, *args))
+    monkeypatch.setattr(cyclo, "_sweep",
+                        lambda n, width, *args: swept.append((n, width)) or sweep(n, width, *args))
     monkeypatch.setattr(cyclo, "_ROWS", {})
     for n in range(1, 7):
         generalized_jones(figure_eight(), n)
-    assert swept == [1, 2, 3, 4, 5, 6]
+    assert swept == [(n, n) for n in range(1, 7)]
     for spec in ([], ["--t1", "1"]):
         swept.clear()
         monkeypatch.setattr(cyclo, "_ROWS", {})
         assert main(["table", "-n", "6", "--what", "coeff", *spec]) == 0
-        assert swept == [1, 2, 3, 4, 5, 6], spec
+        assert swept == [(n, n) for n in range(1, 7)], spec
     capsys.readouterr()
+    # trailing zero H_k: each colour is swept once, as wide as its last nonzero H_k
+    tail = knots.KnotRecord("tail", (L.one(), L.var("q", 2) - L.one(), L.zero(),
+                                     L.term(-2, q=-1), L.zero(), L.zero()))
+    for knot, widths in ((unknot(), [1] * 6), (tail, [1, 2, 2, 4, 4, 4])):
+        swept.clear()
+        monkeypatch.setattr(cyclo, "_ROWS", {})
+        got = [generalized_jones(knot, n) for n in range(1, 7)]
+        assert swept == list(zip(range(1, 7), widths)), knot.name
+        assert got == [universal_eval(knot, n) for n in range(1, 7)], knot.name
     # ascending i: the first request sweeps its width, the next one the whole row
     swept.clear()
     monkeypatch.setattr(cyclo, "_ROWS", {})
     for i in range(1, 8):
         coefficient(7, i)
-    assert swept == [7, 7]
+    assert swept == [(7, 1), (7, 7)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,6 +327,42 @@ def test_rows_specialize_like_sum(data, n, route_t2, t1):
     if own:
         coefficient(n, own, route, t2=1 if route == "macdonald" else None)
     assert coefficient(n, i, route, t1, t2) == specialize(coeff_sum(n, i), t1, t2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from((("series", None), ("series", 1),
+                                                       ("macdonald", 1), ("sum", None),
+                                                       ("sum", 1))),
+       st.sampled_from((None, 1)))
+def test_rows_are_their_entries(data, n, route_t2, t1):
+    route, t2 = route_t2
+    width = data.draw(st.integers(0, n))
+    own = data.draw(st.integers(0, n))      # the width of the own row cached first, if any
+    cyclo._ROWS.clear()
+    if own:
+        coefficient(n, own, route, t2=1 if route == "macdonald" else None)
+    row = coefficient_row(n, width, route, t1, t2)
+    assert row == tuple(coefficient(n, i, route, t1, t2) for i in range(1, width + 1))
+    assert row == tuple(specialize(coeff_sum(n, i), t1, t2) for i in range(1, width + 1))
+
+
+def test_det_rows_are_their_entries():
+    for n, width in ((3, 3), (4, 2), (5, 3)):
+        for t2 in (None, 1):
+            want = tuple(coefficient(n, i, t2=t2) for i in range(1, width + 1))
+            assert coefficient_row(n, width, "det", t2=t2) == want, (n, width, t2)
+
+
+def test_macdonald_own_row_kept(monkeypatch):
+    made = []
+    t2one = cyclo.coeff_t2one
+    monkeypatch.setattr(cyclo, "coeff_t2one", lambda n, i: made.append((n, i)) or t2one(n, i))
+    monkeypatch.setattr(cyclo, "_ROWS", {})
+    at_one = coefficient(6, 6, "macdonald", t1=1, t2=1)
+    formal = coefficient(6, 6, "macdonald", t2=1)
+    # the t1 = 1 request makes and keeps the t2 = 1 row it specializes
+    assert len(made) == 6
+    assert at_one == formal.substitute("t1", 1) == spec11(coeff_sum(6, 6))
 
 
 def test_macdonald_rows_made_once(monkeypatch, tmp_path):
@@ -365,10 +412,33 @@ def test_det_route_cap():
     (3, 2, {"route": "series", "t1": 2}, ValueError),
     (3, 4, {"route": "series"}, IndexError),
     (3, 0, {"route": "det"}, IndexError),
+    # i = None: the call is coefficient_row(n, **kwargs)
+    (5, None, {"width": 4, "route": "det"}, RouteUnavailable),
+    (3, None, {"width": 4}, IndexError),
+    (3, None, {"width": 4, "route": "sum"}, IndexError),
+    (3, None, {"width": -1}, IndexError),
+    (3, None, {"width": 2, "route": "nope"}, RouteUnavailable),
+    (3, None, {"width": 2, "route": "macdonald"}, RouteUnavailable),
+    (3, None, {"width": 2, "t1": 2}, ValueError),
 ])
 def test_coefficient_preconditions(n, i, kwargs, exc):
     with pytest.raises(exc):
-        coefficient(n, i, **kwargs)
+        if i is None:
+            coefficient_row(n, **kwargs)
+        else:
+            coefficient(n, i, **kwargs)
+
+
+def test_empty_row_is_checked():
+    for n in (0, 3):
+        for route in ROUTES:
+            assert coefficient_row(n, 0, route, t2=1) == ()
+    for kwargs, exc in (({"route": "nope"}, RouteUnavailable), ({"t1": 2}, ValueError),
+                        ({"route": "macdonald"}, RouteUnavailable)):
+        with pytest.raises(exc):
+            coefficient_row(3, 0, **kwargs)
+    with pytest.raises(IndexError):
+        coefficient_row(-1, 0)
 
 
 def test_coefficient_routes_agree_at_t2_one():

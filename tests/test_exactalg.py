@@ -76,6 +76,51 @@ def test_exponent_overflow_raises(make, exc):
         make()
 
 
+# The public constructors refuse what they would otherwise store wrongly.
+def test_short_monomial_is_refused():
+    with pytest.raises(ValueError):
+        L({(1,): 1})    # the missing variables would pack as exponent -2^19
+
+
+def test_long_monomial_is_refused():
+    with pytest.raises(ValueError):
+        L({(1, 0, 0, 0, 0, 0, 0, 0, 0, 5): 1})     # the last exponent would be dropped
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L.term("3", q=1),
+    lambda: L.term(1.5, q=1),
+    lambda: L.term(True, q=1),
+    lambda: L.const("3"),
+    lambda: L.const(2.0),
+    lambda: L.const(True),
+    lambda: L({(1, 0, 0, 0, 0, 0, 0, 0, 0): 1.0}),
+    lambda: L({(1, 0, 0, 0, 0, 0, 0, 0, 0): False}),
+], ids=["term-str", "term-float", "term-bool", "const-str", "const-float", "const-bool",
+        "dict-float", "dict-bool"])
+def test_non_int_coefficient_is_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L.term(1, q=True),
+    lambda: L.term(1, q=2.0),
+    lambda: L.var("t1", "1"),
+    lambda: L({(True, 0, 0, 0, 0, 0, 0, 0, 0): 1}),
+    lambda: L({(0.5, 0, 0, 0, 0, 0, 0, 0, 0): 1}),
+], ids=["term-bool", "term-float", "var-str", "dict-bool", "dict-float"])
+def test_non_int_exponent_is_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_constructors_still_take_ints():
+    assert L({(1, 0, 0, 0, 0, 0, 0, 0, 0): 3, (0,) * 9: 0}) == L.term(3, q=1)
+    assert L.const(0).is_zero and L.term(0, q=4).is_zero
+    assert L.const(-2) == L.term(-2) == -2
+
+
 def test_large_exponents_below_the_field_stay_exact():
     p = L.var("q", 100000) ** 4
     assert p.as_single_term() == ((400000,) + (0,) * 8, 1)
@@ -99,7 +144,7 @@ def test_pow_makes_no_product_by_one(monkeypatch, n, products):
     for _ in range(abs(n)):
         want = want * base
     if n < 0:
-        want = L.term((-1) ** n, q=2 * n, t1=-n)
+        want = L.term((-1) ** -n, q=2 * n, t1=-n)
         assert want * base ** -n == L.one()
     calls = []
     mul = L.__mul__
