@@ -21,6 +21,11 @@ w_m = q^4m + q^-4m, c[p][i] = ({2p}/{2}) prod_{j<i} (w_p - w_j); the sum route
 starts from b_p = (-1)^(n+p) {2p} N[n][p], takes chat[n][i] = sum_p b_p /
 (D_n {2}) and moves to i + 1 by the Newton step b_p -> b_p (w_p - w_i), p > i.
 
+The numerators are held as q-packed values (``exactalg.PackedPoly``): the row
+step, the sum route and ``knots.universal_eval`` multiply and add packed ints
+and make each brace division one certified ``divide_braces``, as does the
+{2} division of the lam-series sweep.  Only results are unpacked.
+
 Generalized cyclotomic coefficients are then available by four routes:
 
 * ``coeff_series``     lam-series of a lower-triangular solve, swept layer by
@@ -36,14 +41,14 @@ it applies and specialize t1 / t2; callers ask for rows, and only this module or
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
 
-from .exactalg import (IntegralityViolation, LaurentPoly, PackedBinomial, PackedLayout, QFraction,
-                       TruncatedSeries, divide_brace, qbrace_poly)
+from .exactalg import (IntegralityViolation, LaurentPoly, PackedBinomial, PackedLayout, PackedPoly,
+                       QFraction, TruncatedSeries, divide_braces, qbrace_poly)
 from .macdonald import rogers_c
-from .qcombo import alpha_weight, cyclotomic_c, qint, row_braces, w_poly
+from .qcombo import alpha_weight, cyclotomic_c, qint, row_braces
 
 
 class RouteUnavailable(ValueError):
@@ -53,17 +58,23 @@ class RouteUnavailable(ValueError):
 ROUTES = ("sum", "series", "det", "macdonald")
 
 
+def exact_quotient(num: PackedPoly, braces: tuple[int, ...], what: str) -> PackedPoly:
+    """``num`` divided exactly by the product of the braces {m}, m in ``braces``; a
+    remainder signals a bug and raises IntegralityViolation naming ``what``."""
+    quot = divide_braces(num, braces)
+    if quot is None:
+        raise IntegralityViolation(f"{what}: {''.join(f'{{{m}}}' for m in braces)} "
+                                   f"leaves a remainder")
+    return quot
+
+
 def integral(frac: QFraction, what: str) -> LaurentPoly:
-    """``frac`` as an integer Laurent polynomial.
+    """``frac``, a fraction in q, t1 and t2, as an integer Laurent polynomial.
 
     Every generalized coefficient and knot polynomial must come out that
-    way; brace factors that do not cancel signal a bug and raise
-    IntegralityViolation naming ``what``.
+    way: its numerator is packed and divided by ``exact_quotient``.
     """
-    try:
-        return frac.over(())
-    except IntegralityViolation as exc:
-        raise IntegralityViolation(f"{what}: {exc}") from exc
+    return exact_quotient(PackedPoly.pack(frac.num), frac.den, what).unpack()
 
 
 def _sets_one(value, name: str) -> bool:
@@ -101,49 +112,82 @@ def a_ratio(p: int) -> QFraction:
     return QFraction(num, (2 * p - 1,))
 
 
-@lru_cache(maxsize=None)
-def a_table(n: int) -> Mapping[int, QFraction]:
+class TableRow(Mapping):
     """Row n of the table as a read-only mapping {p: a[n][p]} of its nonzero
-    entries, 1 <= p <= n, each held as QFraction(N[n][p], D_n).
+    entries: the numerators N[n][p] are held packed in ``nums``, and each entry
+    is unpacked as QFraction(N[n][p], D_n) when it is read."""
+
+    def __init__(self, n: int, nums: dict[int, PackedPoly]):
+        self.n, self.nums = n, MappingProxyType(nums)
+
+    def __getitem__(self, p: int) -> QFraction:
+        return QFraction(self.nums[p].unpack(), row_braces(self.n))
+
+    def __contains__(self, p: object) -> bool:
+        return p in self.nums
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+@lru_cache(maxsize=None)
+def _brace(m: int) -> PackedBinomial:
+    """{m} as a packed multiplier."""
+    return PackedBinomial(qbrace_poly(m))
+
+
+@lru_cache(maxsize=None)
+def _step_multipliers(p: int, width: int) -> tuple[PackedPoly, PackedPoly, PackedPoly]:
+    """The multipliers of N[n][p-1], N[n][p] and N[n][p+1] in S_p, packed at ``width``."""
+    lo, hi = qbrace_poly(2 * p - 1), qbrace_poly(2 * p + 1)
+    u = {k: a_ratio(k).num for k in (p, p + 1, -p)}
+    return tuple(PackedPoly.pack(m, width) for m in (hi * u[p], hi * u[p] - lo * u[p + 1],
+                                                     lo * u[-p]))
+
+
+@lru_cache(maxsize=None)
+def a_table(n: int) -> TableRow:
+    """Row n of the table, a read-only mapping {p: QFraction(N[n][p], D_n)} of
+    its nonzero entries, 1 <= p <= n (see ``TableRow``).
 
     Rows are cached for the life of the process and row n is built from rows
-    n-1 and n-2 by the row step of the module docstring, so the table grows on
-    demand and no row is built twice; a remainder raises IntegralityViolation.
+    n-1 and n-2 by the row step of the module docstring on packed values, so
+    the table grows on demand and no row is built twice; a remainder raises
+    IntegralityViolation.
     """
     if n < 1:
         raise ValueError("a_table requires n >= 1")
     if n == 1:
-        return MappingProxyType({1: QFraction.one()})
-    prev, below = a_table(n - 1), a_table(n - 2) if n > 2 else {}
-    zero, top = QFraction.zero(), qbrace_poly(2 * n - 1)     # D_n = D_{n-1} {2n-1}
-    cur: dict[int, QFraction] = {}
+        return TableRow(1, {1: PackedPoly.pack(LaurentPoly.one())})
+    prev, below = a_table(n - 1).nums, a_table(n - 2).nums if n > 2 else {}
+    top = _brace(2 * n - 1)     # D_n = D_{n-1} {2n-1}
+    width = max(v.width for v in prev.values())
+    cur: dict[int, PackedPoly] = {}
     for p in range(1, n + 1):
-        lo, hi = qbrace_poly(2 * p - 1), qbrace_poly(2 * p + 1)
-        s = LaurentPoly.zero()      # S_p, over the entries row n-1 has
-        if p - 1 in prev:
-            s = s + hi * a_ratio(p).num * prev[p - 1].num
-        if p in prev:
-            s = s + (hi * a_ratio(p).num - lo * a_ratio(p + 1).num) * prev[p].num
-        if p + 1 in prev:
-            s = s + lo * a_ratio(-p).num * prev[p + 1].num
-        braces = {2 * p - 1, 2 * p + 1} - {2 * n - 1}      # {2n-1} may cancel a divisor
-        num = integral(QFraction(top * s if len(braces) == 2 else s, braces),
-                       f"table entry (n={n}, p={p})")
-        num = num - top * qbrace_poly(2 * n - 3) * below.get(p, zero).num
+        s = sum(m * prev[k] for k, m in zip((p - 1, p, p + 1), _step_multipliers(p, width))
+                if k in prev)      # S_p, over the entries row n-1 has
+        braces = tuple(sorted({2 * p - 1, 2 * p + 1} - {2 * n - 1}))     # {2n-1} may cancel one
+        num = exact_quotient(top * s if len(braces) == 2 else s, braces,
+                             f"table entry (n={n}, p={p})")
+        if p in below:
+            num = num - top * (_brace(2 * n - 3) * below[p])
         if not num.is_zero:
-            cur[p] = QFraction(num, row_braces(n))
-    return MappingProxyType(cur)
+            cur[p] = num
+    return TableRow(n, cur)
 
 
 def _sum_row(n: int, width: int) -> tuple[LaurentPoly, ...]:
     """chat[n][1..width] by the Newton step of the module docstring over row n."""
-    b = {p: f.num * qbrace_poly(2 * p) * (-1) ** (n + p) for p, f in a_table(n).items()}
+    b = {p: _brace(2 * p) * (-v if (n + p) % 2 else v) for p, v in a_table(n).nums.items()}
+    braces = (2,) + row_braces(n)
     out = []
     for i in range(1, width + 1):
-        total = sum(b.values(), LaurentPoly.zero())
-        out.append(integral(QFraction(total, (2,) + row_braces(n)), f"coefficient (n={n}, i={i})"))
-        if i < width:
-            b = {p: v * (w_poly(p) - w_poly(i)) for p, v in b.items() if p > i}
+        out.append(exact_quotient(sum(b.values()), braces, f"coefficient (n={n}, i={i})").unpack())
+        if i < width:     # w_p - w_i = {2(p-i)}{2(p+i)}
+            b = {p: _brace(2 * (p - i)) * (_brace(2 * (p + i)) * v) for p, v in b.items() if p > i}
     return tuple(out)
 
 
@@ -222,7 +266,10 @@ def _layout(rows: int, n: int) -> PackedLayout:
       map unpacks has L1 norm at most 2(8R+3)^(n-1) 4^(w-1).
 
     The same bounds hold at t1 = 1 or t2 = 1, where fewer and smaller
-    multipliers enter the same recurrences.
+    multipliers enter the same recurrences.  Each packed value tracks its
+    own coefficient bound by the same recursion, so the sweep runs at the
+    layout's width throughout; each value keeps its own q window, and the q
+    bound refuses sizes whose exponents would leave the monomial fields.
     """
     w = (rows + 1) // 2
     return PackedLayout(q_bound=2 * rows * n + 2 * w * (w - 1), t_bound=n,
@@ -262,8 +309,8 @@ def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False)
     held.  ``t1_one`` / ``t2_one`` set t1 / t2 to 1 on the way: at t2 = 1
     odd rows couple only to odd rows, so the even rows are skipped.
     """
-    lay = _layout(rows, n)
-    zero, one = lay.zero(), lay.one()
+    width = _layout(rows, n).width
+    zero, one = (PackedPoly.pack(c, width) for c in (LaurentPoly.zero(), LaurentPoly.one()))
     index = range(1, rows + 1, 2 if t2_one else 1)
     mult = {N: _row_multipliers(N, t1_one) for N in index}
     coupled = not (t1_one and t2_one)
@@ -308,10 +355,7 @@ def _sweep(n: int, width: int, t1_one: bool = False, t2_one: bool = False
     r = [layer[m] for m in range(1, 2 * width, 2)]
     out = []
     for i in range(1, width + 1):
-        chat = divide_brace(r[0].unpack(), 2)
-        if chat is None:
-            raise IntegralityViolation(f"series coefficient (n={n}, i={i}) kept {{2}}")
-        out.append(chat)
+        out.append(exact_quotient(r[0], (2,), f"series coefficient (n={n}, i={i})").unpack())
         if i < width:
             w = _qsum(4 * i)
             r = [r[j + 1] + (r[j - 1] if j else -r[0]) - w * r[j] for j in range(len(r) - 1)]

@@ -22,14 +22,18 @@ Three value types, each immutable and exact:
     lam + lam^-1 is multiplied through by lam before it reaches this type.
 
 Beside them, ``PackedPoly`` holds a polynomial in q, t1 and t2 with each
-t-monomial's q-polynomial packed into one integer (Kronecker substitution),
-so that multiplying by a two-term monomial sum (``PackedBinomial``) is two
-integer shifts and an add.  A ``PackedLayout`` fixes the packing from
-bounds its caller proves and is the only code that knows the bit format.
+t-monomial's q-polynomial packed into one integer (Kronecker substitution)
+over its own q window, so that a product is one integer product per pair of
+slices and multiplying by a two-term monomial sum (``PackedBinomial``) is a
+shift and an add.  Each value carries a bound on its coefficients and widens
+its digits before they could overflow.  ``PackedLayout`` turns bounds that a
+caller proves into the digit width it can use from the start.
 
-The one polynomial division is ``divide_binomial``: exact division by a sum
-of two +1 / -1 monomials, such as a brace {m} or 1 - X^2, which returns None
-on a remainder.
+There are two exact polynomial divisions, each returning None on a
+remainder.  ``divide_binomial`` divides a LaurentPoly by a sum of two
++1 / -1 monomials, such as a brace {m} or 1 - X^2, by synthetic division.
+``divide_braces`` divides a PackedPoly by a product of braces with one
+``divmod`` per slice and certifies the quotient it returns.
 
 All values are immutable after construction and every operation is a pure
 function, so values may be shared between threads freely.
@@ -46,6 +50,7 @@ field raises OverflowError instead of carrying into the next variable.
 from __future__ import annotations
 
 import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable
 
@@ -191,8 +196,8 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._t:
-            return other
+        if len(self._t) < len(other._t):      # loop over the smaller operand
+            self, other = other, self
         if not other._t:
             return self
         out = dict(self._t)
@@ -211,6 +216,8 @@ class LaurentPoly:
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if len(self._t) < len(other._t):      # loop over the smaller operand
+            return -(other - self)
         if not other._t:
             return self
         out = dict(self._t)
@@ -470,61 +477,38 @@ _NOT_QT_OFFSET = _OFFSET & _NOT_QT     # the other fields of a monomial in q, t1
 _LITTLE_ENDIAN = sys.byteorder == "little"     # 64-bit digits can be read as native words
 
 
-class PackedLayout:
-    """The packing of polynomials with |e_q| <= q_bound, |e_t1|, |e_t2| <= t_bound
-    and every coefficient of magnitude at most coeff_bound.
+def _width(bound: int) -> int:
+    """The least multiple of 64, W, with bound < 2^(W-1)."""
+    return 64 * ((bound.bit_length() + 64) // 64)
 
-    A value is a dict from a t-monomial to one int, the slice's q-polynomial
-    sum c * 2^(W * (e_q + q_bound)) with balanced digits, |c| < 2^(W-1).
-    W is 64 while coeff_bound < 2^63 and the next multiple of 64 that keeps
-    coeff_bound < 2^(W-1) otherwise.  Integer adds and shifts give exactly
-    the packed image of the true sum or product whatever the size of its
-    digits, so only a value that is unpacked needs to meet the bounds.
 
-    Exponents are checked: a product that could reach below q^-q_bound
-    raises OverflowError before it is formed, and so does unpacking a value
-    with a term above q^q_bound or a t exponent past t_bound.  Digit sizes
-    cannot be checked after the fact, so the caller proves coeff_bound.
-    """
+def _biased(v: int, width: int) -> bytes:
+    """The balanced base-2^W digits of ``v``, lowest first, each plus 2^(W-1) as one
+    little-endian W-bit field; every int has them, and the top field may be a zero digit."""
+    step = width // 8
+    nd = (v.bit_length() + 1) // width + 1
+    bias = int.from_bytes((1 << (width - 1)).to_bytes(step, "little") * nd, "little")
+    return (v + bias).to_bytes(nd * step, "little")
 
-    __slots__ = ("width", "q_bound", "t_bound", "coeff_bound", "_half", "_bias", "_nbytes")
 
-    def __init__(self, q_bound: int, t_bound: int, coeff_bound: int):
-        if not (0 <= q_bound < _EXP_LIMIT and 0 <= t_bound < _EXP_LIMIT and coeff_bound >= 0):
-            raise ValueError("packed layout bounds out of range")
-        width = 64
-        while coeff_bound >= 1 << (width - 1):
-            width += 64
-        self.width, self.q_bound, self.t_bound = width, q_bound, t_bound
-        self.coeff_bound = coeff_bound
-        self._half = 1 << (width - 1)
-        slots = 2 * q_bound + 1
-        self._nbytes = slots * width // 8
-        # each digit + 2^(W-1) is one unsigned W-bit field of value + _bias
-        self._bias = int.from_bytes(self._half.to_bytes(width // 8, "little") * slots, "little")
+def _words(raw: bytes):
+    """The little-endian 64-bit words of ``raw`` as native unsigned ints, with no Python loop."""
+    if _LITTLE_ENDIAN:
+        return memoryview(raw).cast("Q")
+    words = array("Q", raw)
+    words.byteswap()
+    return words
 
-    def zero(self) -> PackedPoly:
-        return PackedPoly._raw({}, self, self.q_bound)
 
-    def one(self) -> PackedPoly:
-        return PackedPoly._raw({_OFFSET: 1 << self.width * self.q_bound}, self, 0)
-
-    def pack(self, p: LaurentPoly) -> PackedPoly:
-        """``p`` packed; OverflowError if a term does not fit the layout."""
-        out: dict[int, int] = {}
-        low = self.q_bound
-        for key, c in p._t.items():
-            if key & _NOT_QT != _NOT_QT_OFFSET:
-                raise ValueError("only polynomials in q, t1 and t2 can be packed")
-            e_q = ((key >> _SH_Q) & _MASK) - _BIAS
-            tkey = key - (e_q << _SH_Q)
-            if _t_degree(tkey) > self.t_bound:
-                raise OverflowError("t exponent outside the packed layout")
-            if abs(e_q) > self.q_bound or abs(c) >= self._half:
-                raise OverflowError(f"term {c}*q^{e_q} does not fit the packed layout")
-            out[tkey] = out.get(tkey, 0) + (c << self.width * (e_q + self.q_bound))
-            low = min(low, e_q)
-        return PackedPoly._raw({k: v for k, v in out.items() if v}, self, low)
+def _digit_bound(v: int, width: int) -> tuple[int, int]:
+    """An upper bound on the largest |digit| of ``v`` in base 2^W, exact at W = 64, and
+    the number of digits read: one ``to_bytes``, a cast and ``min`` / ``max`` over the
+    top word of each digit."""
+    raw = _biased(v, width)
+    k = width // 64
+    words = _words(raw)[k - 1::k]
+    s, half = width - 64, 1 << (width - 1)
+    return max(((max(words) + 1) << s) - 1 - half, half - (min(words) << s)), len(words)
 
 
 def _t_degree(tkey: int) -> int:
@@ -532,22 +516,65 @@ def _t_degree(tkey: int) -> int:
     return max(abs(((tkey >> _SH_T1) & _MASK) - _BIAS), abs(((tkey >> _SH_T2) & _MASK) - _BIAS))
 
 
-class PackedPoly:
-    """A polynomial in q, t1, t2 in the packing of ``layout``; immutable.
+class PackedLayout:
+    """Bounds proved for a computation on packed values: |e_q| <= q_bound,
+    |e_t1|, |e_t2| <= t_bound and every coefficient at most coeff_bound.
 
-    ``_low`` bounds every q exponent from below, so that a product that
-    would leave the layout is refused before a shift could drop its terms.
+    ``width`` is the least digit width that holds such coefficients: 64 while
+    coeff_bound < 2^63, else the next multiple of 64 with coeff_bound < 2^(W-1).
+    Values made at that width whose tracked bounds follow the proof never widen.
     """
 
-    __slots__ = ("_v", "layout", "_low")
+    __slots__ = ("width", "q_bound", "t_bound", "coeff_bound")
+
+    def __init__(self, q_bound: int, t_bound: int, coeff_bound: int):
+        if not (0 <= q_bound < _EXP_LIMIT and 0 <= t_bound < _EXP_LIMIT and coeff_bound >= 0):
+            raise ValueError("packed layout bounds out of range")
+        self.width = _width(coeff_bound)
+        self.q_bound, self.t_bound, self.coeff_bound = q_bound, t_bound, coeff_bound
+
+
+class PackedPoly:
+    """A polynomial in q, t1, t2 with each t-monomial's q-polynomial packed into
+    one int; immutable.
+
+    ``_v`` maps a t-monomial key to the slice's value at q = 2^W divided by
+    q^low, sum c * 2^(W * (e_q - low)), with balanced digits.  ``low`` is the
+    value's q window, shared by its slices.  ``bound`` and ``norm`` bound the
+    largest |coefficient| and the sum of all of them from above.
+
+    Integer adds, shifts and products give exactly the packed image of the
+    true sum or product whatever the size of its digits, so only reading the
+    digits needs bound < 2^(W-1).  Every operation keeps that true: one whose
+    result could reach it first widens its operands, so every digit of every
+    value is a coefficient.
+    """
+
+    __slots__ = ("_v", "low", "width", "bound", "norm")
 
     @classmethod
-    def _raw(cls, v: dict[int, int], layout: PackedLayout, low: int) -> PackedPoly:
+    def _raw(cls, v: dict[int, int], low: int, width: int, bound: int, norm: int) -> PackedPoly:
         p = cls.__new__(cls)
-        p._v = v
-        p.layout = layout
-        p._low = low
+        p._v, p.low, p.width, p.bound, p.norm = v, low, width, bound, norm
         return p
+
+    @classmethod
+    def pack(cls, p: LaurentPoly, width: int = 64) -> PackedPoly:
+        """``p`` packed with at least ``width``-bit digits, wider if a coefficient
+        needs it; ValueError unless p is a polynomial in q, t1 and t2."""
+        terms = []
+        for key, c in p._t.items():
+            if key & _NOT_QT != _NOT_QT_OFFSET:
+                raise ValueError("only polynomials in q, t1 and t2 can be packed")
+            e_q = ((key >> _SH_Q) & _MASK) - _BIAS
+            terms.append((key - (e_q << _SH_Q), e_q, c))
+        bound = max((abs(c) for *_, c in terms), default=0)
+        width = max(width, _width(bound))
+        low = min((e_q for _, e_q, _ in terms), default=0)
+        out: dict[int, int] = {}
+        for tkey, e_q, c in terms:
+            out[tkey] = out.get(tkey, 0) + (c << width * (e_q - low))
+        return cls._raw(out, low, width, bound, sum(abs(c) for *_, c in terms))
 
     @property
     def is_zero(self) -> bool:
@@ -555,68 +582,135 @@ class PackedPoly:
 
     def unpack(self) -> LaurentPoly:
         """The LaurentPoly this value packs, with the true bound on its exponents;
-        OverflowError if a term lies outside the layout."""
-        lay = self.layout
-        width, q0, half, bias, nbytes = lay.width, lay.q_bound, lay._half, lay._bias, lay._nbytes
-        words = width == 64 and _LITTLE_ENDIAN
+        OverflowError if a q exponent leaves the monomial fields."""
+        width, half = self.width, 1 << (self.width - 1)
         step = width // 8
         out: dict[int, int] = {}
         e_max = 0
         for tkey, v in self._v.items():
-            e_t = _t_degree(tkey)
-            if e_t > lay.t_bound:
-                raise OverflowError("t exponent outside the packed layout")
-            try:
-                raw = (v + bias).to_bytes(nbytes, "little")
-            except OverflowError:
-                raise OverflowError("packed value outside its layout") from None
             lo = ((v & -v).bit_length() - 1) // width     # the lowest nonzero digit
-            hi = min(2 * q0, v.bit_length() // width + 1)
-            if words:
-                digits = memoryview(raw)[8 * lo:8 * (hi + 1)].cast("Q")
+            raw = _biased(v >> width * lo, width)
+            if width == 64:
+                digits = _words(raw)
             else:
-                digits = [int.from_bytes(raw[j * step:(j + 1) * step], "little")
-                          for j in range(lo, hi + 1)]
-            base = tkey + ((lo - q0) << _SH_Q)
+                digits = [int.from_bytes(raw[j:j + step], "little")
+                          for j in range(0, len(raw), step)]
+            base = tkey + ((self.low + lo) << _SH_Q)
             top = 0
             for j, d in enumerate(digits):
                 if d != half:
                     out[base + (j << _SH_Q)] = d - half
                     top = j
-            e_max = max(e_max, e_t, q0 - lo, lo + top - q0)
+            e_max = max(e_max, _t_degree(tkey), abs(self.low + lo), abs(self.low + lo + top))
+        if e_max >= _BIAS:
+            raise OverflowError(f"packed exponents up to {e_max} exceed the supported range")
         return LaurentPoly._raw(out, e_max)
 
+    def _widened(self, width: int) -> PackedPoly:
+        return PackedPoly.pack(self.unpack(), width)
+
+    def _fit(self, other: PackedPoly, bound: int) -> tuple[PackedPoly, PackedPoly]:
+        """Both operands at one width that holds coefficients up to ``bound``."""
+        width = max(self.width, other.width, _width(bound))
+        return (self if self.width == width else self._widened(width),
+                other if other.width == width else other._widened(width))
+
     def _merge(self, other: PackedPoly, sign: int) -> PackedPoly:
-        if other.layout is not self.layout:
-            raise ValueError("packed values of different layouts")
-        out = dict(self._v)
+        if not other._v:
+            return self
+        if not self._v:
+            return other if sign > 0 else -other
+        a, b, bound = self, other, self.bound + other.bound
+        if a.width != b.width or bound >> (a.width - 1):
+            a, b = a._fit(b, bound)
+        width, low = a.width, min(a.low, b.low)
+        if a.low == low:
+            out = dict(a._v)
+        else:
+            out = {k: v << width * (a.low - low) for k, v in a._v.items()}
         get = out.get
-        for k, v in other._v.items():
+        sh = width * (b.low - low)
+        for k, v in b._v.items():
+            if sh:
+                v <<= sh
             s = get(k, 0) + v if sign > 0 else get(k, 0) - v
             if s:
                 out[k] = s
             else:
                 del out[k]
-        return PackedPoly._raw(out, self.layout, min(self._low, other._low))
+        return PackedPoly._raw(out, low, width, bound, a.norm + b.norm)
 
     def __add__(self, other: PackedPoly) -> PackedPoly:
-        if not other._v and other.layout is self.layout:
-            return self
         return self._merge(other, 1)
 
+    def __radd__(self, other: int) -> PackedPoly:
+        return self if other == 0 else NotImplemented      # sum() starts from 0
+
     def __sub__(self, other: PackedPoly) -> PackedPoly:
-        if not other._v and other.layout is self.layout:
-            return self
         return self._merge(other, -1)
 
     def __neg__(self) -> PackedPoly:
-        return PackedPoly._raw({k: -v for k, v in self._v.items()}, self.layout, self._low)
+        return PackedPoly._raw({k: -v for k, v in self._v.items()}, self.low, self.width,
+                               self.bound, self.norm)
+
+    def __mul__(self, other: PackedPoly) -> PackedPoly:
+        """The product: one integer product per pair of slices."""
+        if not isinstance(other, PackedPoly):
+            return NotImplemented
+        a, b, bound = self, other, min(self.bound * other.norm, self.norm * other.bound)
+        if a.width != b.width or bound >> (a.width - 1):
+            a, b = a._fit(b, bound)
+        out: dict[int, int] = {}
+        get = out.get
+        items_b = [(kb - _OFFSET, vb) for kb, vb in b._v.items()]
+        for ka, va in a._v.items():
+            for kb, vb in items_b:
+                k = ka + kb
+                s = get(k, 0) + va * vb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return PackedPoly._raw(out, a.low + b.low, a.width, bound, a.norm * b.norm)
+
+
+def divide_braces(p: PackedPoly, ms: Iterable[int]) -> PackedPoly | None:
+    """Exact division of ``p`` by the brace product prod {m}, each m >= 1, or None
+    if it is not exact.
+
+    With B = 2^W, {m} = q^-m (q^2m - 1), so each slice takes one ``divmod`` by
+    D = prod (B^2m - 1), and the window moves up by sum m.  A remainder means
+    that D(q) does not divide the slice.  A zero remainder gives an int whose
+    balanced digits read as a polynomial Q with p - D Q zero at q = B.  The
+    coefficients of p - D Q are at most bound(p) + 2^k max|Q|, k braces, so
+    when that is below 2^(W-1) they are the digits of 0: p = D Q exactly.
+    Otherwise the division is redone at a wider W, so a quotient is returned
+    only when it is certified, with its digits' bound as its bound.
+    """
+    ms = tuple(ms)
+    while True:
+        width = p.width
+        d = 1
+        for m in ms:
+            d *= (1 << 2 * m * width) - 1
+        out: dict[int, int] = {}
+        top = norm = 0
+        for tkey, v in p._v.items():
+            quot, rem = divmod(v, d)
+            if rem:
+                return None
+            out[tkey] = quot
+            digit, count = _digit_bound(quot, width)
+            top, norm = max(top, digit), norm + digit * count
+        if p.bound + (top << len(ms)) < 1 << (width - 1):
+            return PackedPoly._raw(out, p.low + sum(ms), width, top, norm)
+        p = p._widened(width + 64)
 
 
 class PackedBinomial:
     """A sum of two +1 / -1 monomials in q, t1, t2 that multiplies PackedPoly
-    values of any layout: each term is a t-key offset, a q shift and a
-    negation flag, and ``_down`` is the lower of the two q shifts.
+    values: each term is a t-key offset, a q exponent and a negation flag, and
+    ``_down`` is the lower of the two q exponents, by which the window moves.
     """
 
     __slots__ = ("_terms", "_down")
@@ -637,34 +731,30 @@ class PackedBinomial:
     def __mul__(self, other: PackedPoly) -> PackedPoly:
         if not isinstance(other, PackedPoly):
             return NotImplemented
-        lay = other.layout
-        low = other._low + self._down
-        if low < -lay.q_bound:
-            raise OverflowError(f"product reaches q^{low}, below the packed layout")
-        # every term keeps e_q + q_bound >= 0, so each right shift below is exact
-        width = lay.width
+        bound = 2 * other.bound
+        if bound >> (other.width - 1):
+            other = other._widened(_width(bound))
         (d1, e1, neg1), (d2, e2, neg2) = self._terms
-        s1, s2 = width * e1, width * e2
+        sh = other.width * (e2 - e1)     # the window starts at the lower term
         out: dict[int, int] = {}
         if d1 == d2:     # both terms move the same t-monomial: one slice out per slice in
             for k, v in other._v.items():
-                a = v << s1 if s1 >= 0 else v >> -s1
-                b = v << s2 if s2 >= 0 else v >> -s2
-                s = a - b if neg1 != neg2 else a + b
+                b = v << sh
+                s = v - b if neg1 != neg2 else v + b
                 if s:
                     out[k + d1] = -s if neg1 else s
         else:
             get = out.get
-            pair = ((d1, s1, neg1), (d2, s2, neg2))
+            pair = ((d1, 0, neg1), (d2, sh, neg2))
             for k, v in other._v.items():
-                for d, sh, neg in pair:
-                    a = v << sh if sh >= 0 else v >> -sh
+                for d, shift, neg in pair:
+                    a = v << shift
                     s = get(k + d, 0) - a if neg else get(k + d, 0) + a
                     if s:
                         out[k + d] = s
                     else:
                         del out[k + d]
-        return PackedPoly._raw(out, lay, low)
+        return PackedPoly._raw(out, other.low + self._down, other.width, bound, 2 * other.norm)
 
 
 class QFraction:

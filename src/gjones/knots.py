@@ -9,9 +9,10 @@ figure-eight); everything else is ingested from JSON files of the form
      "habiro": [[[q_exponent, int_coeff], ...], ...],
      "all_ones": bool}
 
-where habiro[k] lists the terms of H_k.  all_ones = true means H_k = 1
-for every k.  Exponents and coefficients must be integers and all_ones a
-boolean; JSON booleans do not pass as integers.
+where habiro[k] lists the terms of H_k, each q exponent at most once.
+all_ones = true means H_k = 1 for every k.  Exponents and coefficients
+must be integers and all_ones a boolean; JSON booleans do not pass as
+integers.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import RouteUnavailable, a_table, check_route, coefficient_row, integral, specialize
-from .exactalg import LaurentPoly, QFraction
+from .cyclo import (RouteUnavailable, a_table, check_route, coefficient_row, exact_quotient,
+                    specialize)
+from .exactalg import LaurentPoly, PackedPoly
 from .qcombo import cyclotomic_c, qint, row_braces
 
 
@@ -96,13 +98,16 @@ def knot_from_dict(data: dict) -> KnotRecord:
     for k, terms in enumerate(habiro):
         if not isinstance(terms, list):
             raise ValueError(f"H_{k}: must be a list of [q_exponent, coeff] terms")
-        p = LaurentPoly.zero()
+        p, seen = LaurentPoly.zero(), set()
         for entry in terms:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"H_{k}: each term must be [q_exponent, coeff]")
             e, c = entry
             if not _is_int(e) or not _is_int(c):
                 raise ValueError(f"H_{k}: exponents and coefficients must be integers")
+            if e in seen:
+                raise ValueError(f"H_{k}: q exponent {e} appears more than once")
+            seen.add(e)
             p = p + LaurentPoly.term(c, q=e)
         seq.append(p)
     return KnotRecord(name, tuple(seq), all_ones=all_ones)
@@ -147,8 +152,7 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
     while habiro and habiro[-1].is_zero:    # the row reaches the last nonzero H_k
         habiro.pop()
     row = coefficient_row(n, len(habiro), route, t1, t2)
-    # chat[n][i] grows with i and + loops over its right operand: the largest goes in first
-    return sum((chat * h for chat, h in zip(reversed(row), reversed(habiro))), LaurentPoly.zero())
+    return sum((chat * h for chat, h in zip(row, habiro)), LaurentPoly.zero())
 
 
 def sigma_trace(k: int, n: int) -> LaurentPoly:
@@ -187,7 +191,8 @@ def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None) -> LaurentPoly:
     check_route("sum", t1, t2)
     if n == 0:
         return LaurentPoly.zero()
-    total = sum((a.num * classical_jones(knot, p) * (-1) ** (n + p)
-                 for p, a in a_table(n).items()), LaurentPoly.zero())
-    poly = integral(QFraction(total, row_braces(n)), f"universal evaluation at n={n}")
-    return specialize(poly, t1, t2)
+    total = sum((-num if (n + p) % 2 else num) * PackedPoly.pack(classical_jones(knot, p),
+                                                                 num.width)
+                for p, num in a_table(n).nums.items())
+    total = exact_quotient(total, row_braces(n), f"universal evaluation at n={n}")
+    return specialize(total.unpack(), t1, t2)

@@ -2,7 +2,6 @@ import importlib.util
 import json
 import pathlib
 import random
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +12,8 @@ from gjones.cyclo import (ROUTES, IntegralityViolation, RouteUnavailable, _eigen
                           a_table, b_entry, coeff_det_series, coeff_series, coeff_sum,
                           coeff_t2one, coefficient, coefficient_row, gamma_lam, integral,
                           specialize)
-from gjones.exactalg import LaurentPoly as L, QFraction as F, divide_brace, qbrace_poly
+from gjones.exactalg import (LaurentPoly as L, PackedPoly, QFraction as F, divide_brace,
+                             qbrace_poly)
 from gjones.knots import figure_eight, generalized_jones, load_knot_file, universal_eval, unknot
 from gjones.qcombo import cyclotomic_c, row_braces
 
@@ -134,8 +134,8 @@ def test_table_rows_match_the_reference():
 
 @pytest.fixture
 def broken_row(monkeypatch):
-    """Serve row 4 of the table with one term added to N[4][2], in place of
-    the cached row; return the real ``a_table``, which has no row 5 yet.
+    """Serve row 4 of the table with one term added to the packed N[4][2], in
+    place of the cached row; return the real ``a_table``, which has no row 5 yet.
 
     The perturbation reaches N[5][3] as {9} u_3 / {5}, which is no
     polynomial (a perturbation of N[4][1] would reach row 5 only over {3},
@@ -143,11 +143,11 @@ def broken_row(monkeypatch):
     real = cyclo.a_table
     real.cache_clear()
     monkeypatch.setattr(cyclo, "_ROWS", {})
-    row = dict(real(4))
-    row[2] = F(row[2].num + L.one(), row[2].den)
+    nums = dict(real(4).nums)
+    nums[2] = nums[2] + PackedPoly.pack(L.one())
 
     def served(n):
-        return MappingProxyType(row) if n == 4 else real(n)
+        return cyclo.TableRow(4, nums) if n == 4 else real(n)
 
     monkeypatch.setattr(cyclo, "a_table", served)
     monkeypatch.setattr(knots, "a_table", served)

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from gjones import exactalg
 from gjones.exactalg import (IntegralityViolation, LaurentPoly, NonUnitConstantTerm,
-                             PackedBinomial, PackedLayout, QFraction, TruncatedSeries,
-                             brace_product, divide_binomial, divide_brace, qbrace_poly,
-                             qfrac_sum)
+                             PackedBinomial, PackedLayout, PackedPoly, QFraction,
+                             TruncatedSeries, brace_product, divide_binomial, divide_brace,
+                             divide_braces, qbrace_poly, qfrac_sum)
 
 L = LaurentPoly
 
@@ -534,12 +534,12 @@ def test_invert_round_trip(tail):
 
 # -- q-packed polynomials -------------------------------------------------------
 
-QB, TB = 6, 3       # the q and t exponent bounds of the test layouts
-LAYOUTS = {64: PackedLayout(QB, TB, (1 << 63) - 1), 128: PackedLayout(QB, TB, 1 << 63)}
+QB, TB = 6, 3       # the q and t exponent ranges drawn for packing
+WIDTHS = (64, 128)
 
 
 def packable(width):
-    """Polynomials in q, t1, t2 inside LAYOUTS[width], digits up to the largest."""
+    """Polynomials in q, t1, t2 whose digits fit ``width`` bits, up to the largest."""
     top = (1 << (width - 1)) - 1
     coeffs = st.one_of(st.integers(-5, 5), st.sampled_from((top, -top)))
     term = st.tuples(st.integers(-QB, QB), st.integers(-TB, TB), st.integers(-TB, TB), coeffs)
@@ -562,16 +562,19 @@ def test_layout_width_follows_the_coefficient_bound():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(sorted(LAYOUTS)))
+@given(st.data(), st.sampled_from(WIDTHS))
 def test_pack_round_trip(data, width):
-    lay = LAYOUTS[width]
     p = data.draw(packable(width))
-    back = lay.pack(p).unpack()
+    packed = PackedPoly.pack(p, width)
+    assert packed.width == width
+    coeffs = [abs(c) for _, c in p.terms_sorted()]
+    assert (packed.bound, packed.norm) == (max(coeffs, default=0), sum(coeffs))
+    back = packed.unpack()
     assert back == p
     assert back._e == true_bound(p)
 
 
-# each multiplier moves exponents by at most 1, so values within QB - 1 / TB - 1 stay inside
+# each multiplier moves exponents by at most 1
 MULTIPLIERS = [L.var("q") + L.var("q", -1), L.var("q") - L.var("q", -1),
                -L.var("q") - L.var("q", -1),
                L.var("t1") - L.var("t1", -1), L.term(1, q=1, t1=-1) + L.term(1, q=-1, t1=1),
@@ -581,39 +584,102 @@ MULTIPLIERS = [L.var("q") + L.var("q", -1), L.var("q") - L.var("q", -1),
 @settings(max_examples=60, deadline=None)
 @given(polys(vars=("q", "t1", "t2"), max_terms=6, exp=2, coeff=50),
        polys(vars=("q", "t1", "t2"), max_terms=6, exp=2, coeff=50),
-       st.sampled_from(MULTIPLIERS), st.sampled_from(sorted(LAYOUTS)))
+       st.sampled_from(MULTIPLIERS), st.sampled_from(WIDTHS))
 def test_packed_ops_match_laurent_ops(a, b, m, width):
-    lay = LAYOUTS[width]
-    pa, pb = lay.pack(a), lay.pack(b)
+    pa, pb = PackedPoly.pack(a, width), PackedPoly.pack(b, width)
     assert (pa + pb).unpack() == a + b
     assert (pa - pb).unpack() == a - b
     assert (-pa).unpack() == -a
+    assert (pa * pb).unpack() == a * b
     assert (PackedBinomial(m) * pa).unpack() == m * a
-    assert (pa - pa).is_zero and (pa + lay.zero()).unpack() == a
-    assert (PackedBinomial(m) * lay.one()).unpack() == m
+    assert (pa - pa).is_zero and (pa + PackedPoly.pack(L.zero(), width)).unpack() == a
+    assert (PackedBinomial(m) * PackedPoly.pack(L.one(), width)).unpack() == m
+    for value, want in ((pa + pb, a + b), (pa * pb, a * b), (PackedBinomial(m) * pa, m * a)):
+        coeffs = [abs(c) for _, c in want.terms_sorted()]
+        assert value.bound >= max(coeffs, default=0) and value.norm >= sum(coeffs)
 
 
-@pytest.mark.parametrize("width", sorted(LAYOUTS))
+@pytest.mark.parametrize("width", WIDTHS)
 def test_unpack_outside_the_layout_raises(width):
-    lay = LAYOUTS[width]
-    top = (1 << (width - 1)) - 1
-    up = PackedBinomial(L.var("q") + L.var("q", -1))
-    with pytest.raises(OverflowError):         # q^(QB+1) leaves the slots
-        (up * lay.pack(L.var("q", QB))).unpack()
-    with pytest.raises(OverflowError):         # q^-(QB+1) is refused before a shift drops it
-        up * lay.pack(L.var("q", -QB) + L.one())
-    with pytest.raises(OverflowError):         # the top digit carries out
-        edge = lay.pack(L.term(top, q=QB))
-        (edge + edge).unpack()
-    with pytest.raises(OverflowError):         # t1^(TB+1)
-        (PackedBinomial(L.var("t1") - L.var("t1", -1)) * lay.pack(L.var("t1", TB))).unpack()
-    with pytest.raises(OverflowError):         # a digit that does not fit
-        lay.pack(L.const(top + 1))
+    far = L.var("q", 131071)
+    up = PackedBinomial(far + L.var("q", 131070))
+    value = PackedPoly.pack(far, width)
+    for _ in range(3):      # q^524284, still inside the 20-bit exponent field
+        value = up * value
+    value.unpack()
+    with pytest.raises(OverflowError):         # q^655355 leaves it
+        (up * value).unpack()
+    down = PackedBinomial(L.var("q", -131071) + L.var("q", -131070))
+    value = PackedPoly.pack(L.one(), width)
+    for _ in range(4):      # q^-524284
+        value = down * value
+    value.unpack()
     with pytest.raises(OverflowError):
-        lay.pack(L.var("q", QB + 1))
-    with pytest.raises(ValueError):            # another layout
-        LAYOUTS[64 if width == 128 else 128].pack(L.one()) - lay.pack(L.one())
+        (down * value).unpack()
     with pytest.raises(ValueError):            # only q, t1, t2
-        lay.pack(L.var("U"))
+        PackedPoly.pack(L.var("U"), width)
     with pytest.raises(ValueError):            # a multiplier has two +1 / -1 terms
         PackedBinomial(L.var("q") + L.term(2, q=-1))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_carries_widen_the_digits(width):
+    # a result that could carry out of a digit is formed at a wider width
+    a = L.term((1 << (width - 1)) - 1, q=QB) + L.var("t1", -2)
+    edge, m = PackedPoly.pack(a, width), L.var("q") + L.var("q", -1)
+    for value, want in ((edge + edge, a + a), (edge - (-edge), a + a),
+                        (PackedBinomial(m) * edge, m * a), (edge * edge, a * a)):
+        assert value.width > width and value.unpack() == want, want
+    # operands of two widths meet at the wider one
+    mixed = PackedPoly.pack(L.one(), 64) + PackedPoly.pack(L.var("q", 3), 192)
+    assert mixed.width == 192 and mixed.unpack() == L.one() + L.var("q", 3)
+
+
+def brace_multisets(min_size=0):
+    return st.lists(st.integers(1, 4), min_size=min_size, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(vars=("q", "t1", "t2"), max_terms=6, exp=3, coeff=1000), brace_multisets(),
+       st.sampled_from(WIDTHS))
+def test_divide_braces_inverts_multiplication(p, ms, width):
+    quot = divide_braces(PackedPoly.pack(brace_product(ms, p), width), ms)
+    back = quot.unpack()
+    assert back == p
+    assert back._e == true_bound(p)
+    assert quot.bound >= max((abs(c) for _, c in p.terms_sorted()), default=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(vars=("q", "t1", "t2"), max_terms=6, exp=3, coeff=1000), brace_multisets(1),
+       st.tuples(st.integers(-8, 8), st.integers(-3, 3), st.integers(-3, 3)),
+       st.integers(-5, 5).filter(bool))
+def test_divide_braces_refuses_a_perturbed_product(p, ms, mono, c):
+    # a monomial is divisible by no brace, so one changed coefficient leaves a remainder
+    e_q, e_1, e_2 = mono
+    n = brace_product(ms, p) + L.term(c, q=e_q, t1=e_1, t2=e_2)
+    assert divide_braces(PackedPoly.pack(n), ms) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(vars=("q", "t1", "t2"), max_terms=4, exp=3, coeff=5), st.integers(1, 4),
+       st.sampled_from((1, -1)))
+def test_divide_braces_widens_an_uncertified_quotient(p, m, sign):
+    # coefficients near 2^62 pack 64 bits wide, but bound + 2 max|Q| reaches 2^63
+    big = p + L.term(sign * ((1 << 62) - 3), q=9)
+    n = PackedPoly.pack(brace_product([m], big))
+    assert n.width == 64
+    quot = divide_braces(n, [m])
+    assert quot.width > 64
+    assert quot.unpack() == big
+    assert quot.unpack()._e == true_bound(big)
+
+
+def test_divide_braces_quotient_outgrows_the_dividend():
+    # {1} Q has coefficients of 2^60 while Q climbs to 2^64: read at 64 bits its
+    # digits wrap, the certificate refuses them, and the wider reading is exact
+    quot = sum((L.term(min(j, 32 - j) << 60, q=2 * j) for j in range(33)), L.zero())
+    n = PackedPoly.pack(brace_product([1], quot))
+    assert n.width == 64 and n.bound == 1 << 60
+    got = divide_braces(n, [1])
+    assert got.width > 64 and got.unpack() == quot

@@ -149,6 +149,7 @@ def test_all_ones_flag_round_trip():
     {"name": "b", "habiro": [[5]]},
     {"name": "b", "habiro": 5},
     [1, 2],
+    {"name": "d", "habiro": [[[1, 2], [1, -2]], [[0, 1]]]},
 ])
 def test_loader_is_strict(record, tmp_path, capsys):
     with pytest.raises(ValueError):
@@ -157,3 +158,14 @@ def test_loader_is_strict(record, tmp_path, capsys):
     path.write_text(json.dumps(record))
     assert main(["jones", "--knot-file", str(path), "-n", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: cannot load knot file: ")
+
+
+def test_duplicate_exponent_is_named(tmp_path, capsys):
+    # two terms at q^1 would add up to H_0 = 0 without a word
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"name": "d", "habiro": [[[1, 2], [1, -2]], [[0, 1]]]}))
+    assert main(["jones", "--knot-file", str(path), "-n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot load knot file: H_0: q exponent 1 appears more "
+                            "than once\n")
