@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .exactalg import (IntegralityViolation, LaurentPoly, PackedBinomial, PackedLayout, PackedPoly,
+from .exactalg import (_EXP_LIMIT, IntegralityViolation, LaurentPoly, PackedBinomial, PackedPoly,
                        QFraction, TruncatedSeries, divide_braces, qbrace_poly)
 from .macdonald import rogers_c
 from .qcombo import alpha_weight, cyclotomic_c, qint, row_braces
@@ -242,12 +242,12 @@ def gamma_lam(N: int, order: int) -> TruncatedSeries:
     return TruncatedSeries([LaurentPoly.const(-1), _x(N), LaurentPoly.const(-1)], order)
 
 
-@lru_cache(maxsize=None)
-def _layout(rows: int, n: int) -> PackedLayout:
-    """The packed layout of the eigen rows N = 1..rows = 2w-1 to layer n and of
-    the w-1 steps of the dual map that ``_sweep`` runs on them.
+def _layout(rows: int, n: int) -> tuple[int, int]:
+    """The exponent bounds (q_bound, t_bound) of the eigen rows N = 1..rows = 2w-1
+    to layer n and of the w-1 steps of the dual map that ``_sweep`` runs on them;
+    ValueError for sizes whose q exponents could leave the monomial fields.
 
-    The bounds, with R = rows:
+    With R = rows:
 
     * q: |e_q| <= 2Rn on the layers.  Row N at layer k stays within 2Nk, by
       induction on k: x_N y_{k-1} moves by 2N, the coupling term
@@ -256,24 +256,17 @@ def _layout(rows: int, n: int) -> PackedLayout:
       q^4i + q^-4i, so after the w-1 steps |e_q| <= 2Rn + 2w(w-1).
     * t: |e_t1|, |e_t2| <= n.  Every layer step multiplies by at most one
       power of t1 or t2, and the dual map by none.
-    * coefficients: every coefficient is at most the L1 norm.  Let B_k be
-      the largest L1 norm on layer k.  x_N, q^N + q^-N, t_j - t_j^-1 and {M}
-      each have L1 norm 2, and row N couples to N - 1 <= R - 1 rows, so B_1 = 2
-      ({2N}) and B_k <= 2B_{k-1} + B_{k-2} + 8(R-1)B_{k-1}
-      <= (8R+3) max(B_{k-1}, B_{k-2}).  Hence every layer value has L1 norm
-      at most 2(8R+3)^(n-1).  A dual step forms r_{m+2} + r_{m-2} - (q^4i +
-      q^-4i) r_m, at most 4 times the largest norm, so every value the dual
-      map unpacks has L1 norm at most 2(8R+3)^(n-1) 4^(w-1).
 
-    The same bounds hold at t1 = 1 or t2 = 1, where fewer and smaller
-    multipliers enter the same recurrences.  Each packed value tracks its
-    own coefficient bound by the same recursion, so the sweep runs at the
-    layout's width throughout; each value keeps its own q window, and the q
-    bound refuses sizes whose exponents would leave the monomial fields.
+    The same bounds hold at t1 = 1 or t2 = 1, where fewer multipliers enter
+    the same recurrences.  Coefficients need no bound here: every packed
+    value tracks its own and widens only when its digits, re-read, could
+    still overflow (``exactalg.PackedPoly``).
     """
     w = (rows + 1) // 2
-    return PackedLayout(q_bound=2 * rows * n + 2 * w * (w - 1), t_bound=n,
-                        coeff_bound=2 * (8 * rows + 3) ** (n - 1) * 4 ** (w - 1))
+    q_bound = 2 * rows * n + 2 * w * (w - 1)
+    if q_bound >= _EXP_LIMIT:
+        raise ValueError("packed layout bounds out of range")
+    return q_bound, n
 
 
 @lru_cache(maxsize=None)
@@ -285,8 +278,7 @@ def _qsum(m: int) -> PackedBinomial:
 @lru_cache(maxsize=None)
 def _row_multipliers(N: int, t1_one: bool) -> tuple[PackedBinomial, ...]:
     """x_N, {N}, q^N + q^-N and {2N} of eigen row N as packed multipliers."""
-    return (PackedBinomial(_x(N, t1_one)), PackedBinomial(qbrace_poly(N)), _qsum(N),
-            PackedBinomial(qbrace_poly(2 * N)))
+    return PackedBinomial(_x(N, t1_one)), _brace(N), _qsum(N), _brace(2 * N)
 
 
 _PACKED_TBAR1, _PACKED_TBAR2 = PackedBinomial(_TBAR1), PackedBinomial(_TBAR2)
@@ -294,7 +286,7 @@ _PACKED_TBAR1, _PACKED_TBAR2 = PackedBinomial(_TBAR1), PackedBinomial(_TBAR2)
 
 def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False):
     """Yield the lam^k layers {N: y^(N)_k}, k = 0..n, of the eigen rows N = 1..rows,
-    as PackedPoly values of ``_layout(rows, n)``.
+    as PackedPoly values that start at 64-bit digits, once ``_layout`` accepts the size.
 
     Row N solves lam*gamma_N(lam) y^(N) = -{2N} lam - lam sum_{M<N} b_entry(N, M) y^(M),
     so with {N+M} - {N-M} = (q^N + q^-N){M}
@@ -309,8 +301,8 @@ def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False)
     held.  ``t1_one`` / ``t2_one`` set t1 / t2 to 1 on the way: at t2 = 1
     odd rows couple only to odd rows, so the even rows are skipped.
     """
-    width = _layout(rows, n).width
-    zero, one = (PackedPoly.pack(c, width) for c in (LaurentPoly.zero(), LaurentPoly.one()))
+    _layout(rows, n)
+    zero, one = PackedPoly.pack(LaurentPoly.zero()), PackedPoly.pack(LaurentPoly.one())
     index = range(1, rows + 1, 2 if t2_one else 1)
     mult = {N: _row_multipliers(N, t1_one) for N in index}
     coupled = not (t1_one and t2_one)

@@ -25,9 +25,9 @@ Beside them, ``PackedPoly`` holds a polynomial in q, t1 and t2 with each
 t-monomial's q-polynomial packed into one integer (Kronecker substitution)
 over its own q window, so that a product is one integer product per pair of
 slices and multiplying by a two-term monomial sum (``PackedBinomial``) is a
-shift and an add.  Each value carries a bound on its coefficients and widens
-its digits before they could overflow.  ``PackedLayout`` turns bounds that a
-caller proves into the digit width it can use from the start.
+shift and an add.  Each value starts at 64-bit digits and carries a bound on
+its coefficients; before an operation could overflow its digits, it re-reads
+its operands' bounds from their digits and widens only if they still could.
 
 There are two exact polynomial divisions, each returning None on a
 remainder.  ``divide_binomial`` divides a LaurentPoly by a sum of two
@@ -500,38 +500,22 @@ def _words(raw: bytes):
     return words
 
 
-def _digit_bound(v: int, width: int) -> tuple[int, int]:
-    """An upper bound on the largest |digit| of ``v`` in base 2^W, exact at W = 64, and
-    the number of digits read: one ``to_bytes``, a cast and ``min`` / ``max`` over the
-    top word of each digit."""
-    raw = _biased(v, width)
-    k = width // 64
-    words = _words(raw)[k - 1::k]
-    s, half = width - 64, 1 << (width - 1)
-    return max(((max(words) + 1) << s) - 1 - half, half - (min(words) << s)), len(words)
+def _digit_bounds(vs: Iterable[int], width: int) -> tuple[int, int]:
+    """Upper bounds on the largest |digit| of the ints ``vs`` in base 2^W, exact at
+    W = 64, and on the sum of all their |digits|: per int, one ``to_bytes``, a cast
+    and ``min`` / ``max`` over the top word of each digit."""
+    k, s, half = width // 64, width - 64, 1 << (width - 1)
+    top = norm = 0
+    for v in vs:
+        words = _words(_biased(v, width))[k - 1::k]
+        digit = max(((max(words) + 1) << s) - 1 - half, half - (min(words) << s))
+        top, norm = max(top, digit), norm + digit * len(words)
+    return top, norm
 
 
 def _t_degree(tkey: int) -> int:
     """max(|e_t1|, |e_t2|) of a packed monomial key."""
     return max(abs(((tkey >> _SH_T1) & _MASK) - _BIAS), abs(((tkey >> _SH_T2) & _MASK) - _BIAS))
-
-
-class PackedLayout:
-    """Bounds proved for a computation on packed values: |e_q| <= q_bound,
-    |e_t1|, |e_t2| <= t_bound and every coefficient at most coeff_bound.
-
-    ``width`` is the least digit width that holds such coefficients: 64 while
-    coeff_bound < 2^63, else the next multiple of 64 with coeff_bound < 2^(W-1).
-    Values made at that width whose tracked bounds follow the proof never widen.
-    """
-
-    __slots__ = ("width", "q_bound", "t_bound", "coeff_bound")
-
-    def __init__(self, q_bound: int, t_bound: int, coeff_bound: int):
-        if not (0 <= q_bound < _EXP_LIMIT and 0 <= t_bound < _EXP_LIMIT and coeff_bound >= 0):
-            raise ValueError("packed layout bounds out of range")
-        self.width = _width(coeff_bound)
-        self.q_bound, self.t_bound, self.coeff_bound = q_bound, t_bound, coeff_bound
 
 
 class PackedPoly:
@@ -546,8 +530,9 @@ class PackedPoly:
     Integer adds, shifts and products give exactly the packed image of the
     true sum or product whatever the size of its digits, so only reading the
     digits needs bound < 2^(W-1).  Every operation keeps that true: one whose
-    result could reach it first widens its operands, so every digit of every
-    value is a coefficient.
+    result could reach it first re-reads its operands' bounds from their
+    digits, then widens them if the result still could (``_fit``), so every
+    digit of every value is a coefficient.
     """
 
     __slots__ = ("_v", "low", "width", "bound", "norm")
@@ -609,11 +594,11 @@ class PackedPoly:
     def _widened(self, width: int) -> PackedPoly:
         return PackedPoly.pack(self.unpack(), width)
 
-    def _fit(self, other: PackedPoly, bound: int) -> tuple[PackedPoly, PackedPoly]:
-        """Both operands at one width that holds coefficients up to ``bound``."""
-        width = max(self.width, other.width, _width(bound))
-        return (self if self.width == width else self._widened(width),
-                other if other.width == width else other._widened(width))
+    def _reread(self) -> PackedPoly:
+        """This value with ``bound`` and ``norm`` read from its digits where that is tighter."""
+        top, norm = _digit_bounds(self._v.values(), self.width)
+        return PackedPoly._raw(self._v, self.low, self.width, min(self.bound, top),
+                               min(self.norm, norm))
 
     def _merge(self, other: PackedPoly, sign: int) -> PackedPoly:
         if not other._v:
@@ -622,7 +607,7 @@ class PackedPoly:
             return other if sign > 0 else -other
         a, b, bound = self, other, self.bound + other.bound
         if a.width != b.width or bound >> (a.width - 1):
-            a, b = a._fit(b, bound)
+            (a, b), bound = _fit((a, b), lambda a, b: a.bound + b.bound)
         width, low = a.width, min(a.low, b.low)
         if a.low == low:
             out = dict(a._v)
@@ -659,7 +644,7 @@ class PackedPoly:
             return NotImplemented
         a, b, bound = self, other, min(self.bound * other.norm, self.norm * other.bound)
         if a.width != b.width or bound >> (a.width - 1):
-            a, b = a._fit(b, bound)
+            (a, b), bound = _fit((a, b), lambda a, b: min(a.bound * b.norm, a.norm * b.bound))
         out: dict[int, int] = {}
         get = out.get
         items_b = [(kb - _OFFSET, vb) for kb, vb in b._v.items()]
@@ -674,6 +659,20 @@ class PackedPoly:
         return PackedPoly._raw(out, a.low + b.low, a.width, bound, a.norm * b.norm)
 
 
+def _fit(ops: tuple[PackedPoly, ...], bound_of) -> tuple[tuple[PackedPoly, ...], int]:
+    """The one widening rule: ``ops`` at one width whose digits hold ``bound_of(*ops)``,
+    the bound of a result made from them, and that bound.  Where the tracked bounds
+    could overflow, they are re-read from the digits first, and the operands widen
+    only if the re-read bound still could."""
+    width = max(p.width for p in ops)
+    bound = bound_of(*ops)
+    if bound >> (width - 1):
+        ops = tuple(p._reread() for p in ops)
+        bound = bound_of(*ops)
+        width = max(width, _width(bound))
+    return tuple(p if p.width == width else p._widened(width) for p in ops), bound
+
+
 def divide_braces(p: PackedPoly, ms: Iterable[int]) -> PackedPoly | None:
     """Exact division of ``p`` by the brace product prod {m}, each m >= 1, or None
     if it is not exact.
@@ -684,8 +683,9 @@ def divide_braces(p: PackedPoly, ms: Iterable[int]) -> PackedPoly | None:
     balanced digits read as a polynomial Q with p - D Q zero at q = B.  The
     coefficients of p - D Q are at most bound(p) + 2^k max|Q|, k braces, so
     when that is below 2^(W-1) they are the digits of 0: p = D Q exactly.
-    Otherwise the division is redone at a wider W, so a quotient is returned
-    only when it is certified, with its digits' bound as its bound.
+    Otherwise p is refitted by ``_fit`` and, if that widens it, the division
+    is redone, so a quotient is returned only when it is certified, with its
+    digits' bound as its bound.
     """
     ms = tuple(ms)
     while True:
@@ -694,17 +694,15 @@ def divide_braces(p: PackedPoly, ms: Iterable[int]) -> PackedPoly | None:
         for m in ms:
             d *= (1 << 2 * m * width) - 1
         out: dict[int, int] = {}
-        top = norm = 0
         for tkey, v in p._v.items():
             quot, rem = divmod(v, d)
             if rem:
                 return None
             out[tkey] = quot
-            digit, count = _digit_bound(quot, width)
-            top, norm = max(top, digit), norm + digit * count
-        if p.bound + (top << len(ms)) < 1 << (width - 1):
+        top, norm = _digit_bounds(out.values(), width)
+        (p,), _ = _fit((p,), lambda p: p.bound + (top << len(ms)))
+        if p.width == width:
             return PackedPoly._raw(out, p.low + sum(ms), width, top, norm)
-        p = p._widened(width + 64)
 
 
 class PackedBinomial:
@@ -733,7 +731,7 @@ class PackedBinomial:
             return NotImplemented
         bound = 2 * other.bound
         if bound >> (other.width - 1):
-            other = other._widened(_width(bound))
+            (other,), bound = _fit((other,), lambda p: 2 * p.bound)
         (d1, e1, neg1), (d2, e2, neg2) = self._terms
         sh = other.width * (e2 - e1)     # the window starts at the lower term
         out: dict[int, int] = {}

@@ -10,9 +10,9 @@ figure-eight); everything else is ingested from JSON files of the form
      "all_ones": bool}
 
 where habiro[k] lists the terms of H_k, each q exponent at most once.
-all_ones = true means H_k = 1 for every k.  Exponents and coefficients
-must be integers and all_ones a boolean; JSON booleans do not pass as
-integers.
+all_ones = true means H_k = 1 for every k, so habiro must then be empty.
+Exponents and coefficients must be integers and all_ones a boolean; JSON
+booleans do not pass as integers.  Any other key is an error.
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ def _is_int(v) -> bool:
 def knot_from_dict(data: dict) -> KnotRecord:
     if not isinstance(data, dict):
         raise ValueError("knot record must be a JSON object")
+    for key in data:
+        if key not in ("name", "habiro", "all_ones"):
+            raise ValueError(f"unknown key {key!r}; a knot record has 'name', 'habiro' "
+                             f"and 'all_ones'")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("knot record needs a nonempty string 'name'")
@@ -94,6 +98,8 @@ def knot_from_dict(data: dict) -> KnotRecord:
     habiro = data.get("habiro", [])
     if not isinstance(habiro, list):
         raise ValueError("'habiro' must be a list of term lists")
+    if all_ones and habiro:
+        raise ValueError("'habiro' must be empty when 'all_ones' is true")
     seq = []
     for k, terms in enumerate(habiro):
         if not isinstance(terms, list):

@@ -235,36 +235,64 @@ def test_eigen_layers_structure():
 
 def test_layout_bounds_dominate_the_sweep():
     # every value that could be unpacked: each layer of rows 1..2w-1 and each
-    # r of the dual map, which for width w is a prefix of the full-width one
+    # r of the dual map, which for width w is a prefix of the full-width one;
+    # the dual map runs on dicts and on packed values side by side
     for n in range(1, 8):
-        layers = unpacked_layers(2 * n - 1, n)
+        packed = list(_eigen_layers(2 * n - 1, n))
+        layers = [{N: y.unpack() for N, y in layer.items()} for layer in packed]
         r = [layers[n][m] for m in range(1, 2 * n, 2)]
-        duals = [r]
+        pr = [packed[n][m] for m in range(1, 2 * n, 2)]
+        duals, pduals = [r], [pr]
         for i in range(1, n):
             w = L.var("q", 4 * i) + L.var("q", -4 * i)
             r = [r[j + 1] + (r[j - 1] if j else -r[0]) - w * r[j] for j in range(len(r) - 1)]
+            pr = [pr[j + 1] + (pr[j - 1] if j else -pr[0]) - cyclo._qsum(4 * i) * pr[j]
+                  for j in range(len(pr) - 1)]
             duals.append(r)
+            pduals.append(pr)
+        # each packed value's tracked bound dominates its largest |coefficient|
+        for y in [y for layer in packed for y in layer.values()] + [y for r in pduals for y in r]:
+            assert y.bound >= max((abs(c) for _, c in y.unpack().terms_sorted()), default=0), n
+        assert [[y.unpack() for y in r] for r in pduals] == duals, n
         for width in range(1, n + 1):
-            lay = cyclo._layout(2 * width - 1, n)
+            q_bound, t_bound = cyclo._layout(2 * width - 1, n)
             values = [y for layer in layers for N, y in layer.items() if N < 2 * width]
             values += [y for i, r in enumerate(duals[:width]) for y in r[:width - i]]
             for y in values:
                 for mono, c in y.terms_sorted():
-                    assert abs(mono[0]) <= lay.q_bound, (n, width)
-                    assert max(abs(mono[1]), abs(mono[2])) <= lay.t_bound, (n, width)
-                    assert abs(c) <= lay.coeff_bound, (n, width)
+                    assert abs(mono[0]) <= q_bound, (n, width)
+                    assert max(abs(mono[1]), abs(mono[2])) <= t_bound, (n, width)
             assert cyclo._sweep(n, width) == tuple(divide_brace(d[0], 2) for d in duals[:width])
 
 
-def test_wide_layout_rows_match_the_reference():
-    # rows 9 and 10 pack their coefficients 128 bits wide; check every entry
-    # at one point of GF(2^61 - 1) against the independent evaluation
-    ref, pt, table = reference_at_a_point(10)
-    for n in (9, 10):
-        assert cyclo._layout(2 * n - 1, n).width == 128
+def test_sweep_refuses_sizes_past_the_exponent_fields(monkeypatch):
+    # the refusal comes before any packed work: nothing is multiplied
+    def swept(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cyclo, "_row_multipliers", swept)
+    for rows, n in ((1, 70000), (3, 21845)):
+        with pytest.raises(ValueError, match="^packed layout bounds out of range$"):
+            cyclo._sweep(n, (rows + 1) // 2)
+    assert cyclo._layout(3, 21844) == (131068, 21844)     # 2Rn + 2w(w-1) < 2^17
+
+
+def test_wide_layout_rows_match_the_reference(monkeypatch):
+    # rows 9, 10 and 12 sweep at 64-bit digits; check every entry at one point
+    # of GF(2^61 - 1) against the independent evaluation.  Some tracked bounds
+    # of row 12 reach 2^63: those values re-read them, and none widens.
+    ref, pt, table = reference_at_a_point(12)
+    calls = {"_reread": 0, "_widened": 0}
+    for name in calls:
+        real = getattr(PackedPoly, name)
+        monkeypatch.setattr(PackedPoly, name, lambda self, *args, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(self, *args))
+    for n in (9, 10, 12):
         for i, chat in enumerate(cyclo._sweep(n, n), 1):
             got = pt.eval({mono[:3]: c for mono, c in chat.terms_sorted()})
             assert got == table.chat(n, i), (n, i)
+        assert calls["_widened"] == 0, n
+    assert calls["_reread"] >= 1
 
 
 def test_series_route_matches_sum_route():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gjones import exactalg
 from gjones.exactalg import (IntegralityViolation, LaurentPoly, NonUnitConstantTerm,
-                             PackedBinomial, PackedLayout, PackedPoly, QFraction,
+                             PackedBinomial, PackedPoly, QFraction,
                              TruncatedSeries, brace_product, divide_binomial, divide_brace,
                              divide_braces, qbrace_poly, qfrac_sum)
 
@@ -553,12 +553,12 @@ def true_bound(p):
     return max((abs(e) for mono, _ in p.terms_sorted() for e in mono), default=0)
 
 
-def test_layout_width_follows_the_coefficient_bound():
-    assert [PackedLayout(1, 1, b).width for b in (0, (1 << 63) - 1, 1 << 63,
-                                                   (1 << 127) - 1, 1 << 127)] == [
-        64, 64, 128, 128, 192]
-    with pytest.raises(ValueError):
-        PackedLayout(-1, 0, 1)
+def test_pack_width_follows_the_largest_coefficient():
+    # 64 bits while every |coefficient| < 2^63, else the next multiple of 64 that holds it
+    for c, width in ((0, 64), ((1 << 63) - 1, 64), (1 << 63, 128), (-(1 << 63), 128),
+                     ((1 << 127) - 1, 128), (1 << 127, 192)):
+        assert PackedPoly.pack(L.term(c, q=2) + L.var("t1")).width == width, c
+        assert PackedPoly.pack(L.term(c, q=2), 128).width == max(width, 128), c
 
 
 @settings(max_examples=60, deadline=None)
@@ -633,6 +633,34 @@ def test_carries_widen_the_digits(width):
     # operands of two widths meet at the wider one
     mixed = PackedPoly.pack(L.one(), 64) + PackedPoly.pack(L.var("q", 3), 192)
     assert mixed.width == 192 and mixed.unpack() == L.one() + L.var("q", 3)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_loose_bounds_are_re_read_before_widening(width):
+    # (P + Q) - Q tracks a bound near 2^(W-1) but holds only P's coefficients
+    q = PackedPoly.pack(L.term((1 << (width - 2)) - (1 << (width - 32)), q=2, t2=1), width)
+    p = L.term(3, q=-1) - L.var("t1") + L.const(2)
+    loose = (PackedPoly.pack(p, width) + q) - q
+    assert loose.width == width and loose.bound >= 1 << (width - 2)
+    m = L.var("q") + L.var("q", -1)
+    # tracking alone would widen each result; read from the digits, none needs it
+    # (wider digits are read to within 2^(W-64), too coarse to keep a product)
+    cases = [(loose + loose, p + p), (loose - (-loose), p + p), (PackedBinomial(m) * loose, m * p)]
+    if width == 64:
+        cases.append((loose * loose, p * p))
+    for value, want in cases:
+        assert value.width == width and value.unpack() == want, want
+    # a genuine overflow still widens: 2^(W-2) + 2^(W-2) needs a digit of 2^(W-1)
+    edge = L.term(1 << (width - 2), q=1) + p
+    loose = (PackedPoly.pack(edge, width) + q) - q
+    assert loose.width == width
+    for value, want in ((loose + loose, edge + edge),
+                        (loose * PackedPoly.pack(L.const(2), width), edge * 2)):
+        assert value.width > width and value.unpack() == want, want
+    # and one digit short of it does not
+    below = L.term((1 << (width - 2)) - 1, q=1) + p
+    loose = (PackedPoly.pack(below, width) + q) - q
+    assert (loose + loose).width == width and (loose + loose).unpack() == below + below
 
 
 def brace_multisets(min_size=0):

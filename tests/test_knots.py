@@ -150,6 +150,8 @@ def test_all_ones_flag_round_trip():
     {"name": "b", "habiro": 5},
     [1, 2],
     {"name": "d", "habiro": [[[1, 2], [1, -2]], [[0, 1]]]},
+    {"name": "x", "habiro": [[[1, 2]], [[0, 5]]], "all_ones": True},
+    {"name": "x", "habrio": [[[1, 2]]]},
 ])
 def test_loader_is_strict(record, tmp_path, capsys):
     with pytest.raises(ValueError):
@@ -158,6 +160,20 @@ def test_loader_is_strict(record, tmp_path, capsys):
     path.write_text(json.dumps(record))
     assert main(["jones", "--knot-file", str(path), "-n", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: cannot load knot file: ")
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"name": "x", "habiro": [[[1, 2]], [[0, 5]]], "all_ones": True},
+     "'habiro' must be empty when 'all_ones' is true"),
+    ({"name": "x", "habrio": [[[1, 2]]]},
+     "unknown key 'habrio'; a knot record has 'name', 'habiro' and 'all_ones'"),
+], ids=["all-ones-with-data", "misspelled-key"])
+def test_silent_inputs_are_named(record, message, tmp_path, capsys):
+    # each once loaded without a word: H_k = 1 over the file's data, or an empty knot
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(record))
+    assert main(["jones", "--knot-file", str(path), "-n", "2"]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot load knot file: {message}\n")
 
 
 def test_duplicate_exponent_is_named(tmp_path, capsys):
