@@ -24,7 +24,10 @@ starts from b_p = (-1)^(n+p) {2p} N[n][p], takes chat[n][i] = sum_p b_p /
 The numerators are held as q-packed values (``exactalg.PackedPoly``): the row
 step, the sum route and ``knots.universal_eval`` multiply and add packed ints
 and make each brace division one certified ``divide_braces``, as does the
-{2} division of the lam-series sweep.  Only results are unpacked.
+{2} division of the lam-series sweep.  The coefficient rows stay packed in the
+row cache of ``_row``, where setting t1 or t2 to 1 merges slices
+(``PackedPoly.specialize``); ``coefficient`` and ``coefficient_row`` unpack
+them, and ``packed_row`` hands them to ``knots.generalized_jones`` packed.
 
 Generalized cyclotomic coefficients are then available by four routes:
 
@@ -148,6 +151,25 @@ def _step_multipliers(p: int, width: int) -> tuple[PackedPoly, PackedPoly, Packe
                                                      lo * u[-p]))
 
 
+def _table_bound(n: int, width: int = 0) -> int:
+    """The bound on |e_q| of table row n and, for width >= 1, of the values that
+    ``_sum_row`` makes chat[n][1..width] from; ValueError, as ``_layout`` gives for
+    the sweep, for sizes whose q exponents could reach ``_EXP_LIMIT``.
+
+    * Row n: |e_q| <= n^2 - 1, by induction with the row step of the module
+      docstring.  Its {2n+1}{2n-1} N[n-1][p] term reaches (n-1)^2 - 1 + 4n, and
+      each term of S_p reaches n^2 - 1 + 4p, which {2n+1} / ({2p-1}{2p+1}) moves
+      by 2n + 1 - 4p: both stay within (n+1)^2 - 1.  (The bound is met for
+      n = 1..12.)
+    * Sum route: b_p = {2p} N[n][p] adds 2p and each Newton step adds 4p, so the
+      values that make chat[n][width] stay within n^2 - 1 + 2n + 4n(width - 1).
+    """
+    bound = n * n - 1 + (2 * n + 4 * n * (width - 1) if width else 0)
+    if bound >= _EXP_LIMIT:
+        raise ValueError("table bounds out of range")
+    return bound
+
+
 @lru_cache(maxsize=None)
 def a_table(n: int) -> TableRow:
     """Row n of the table, a read-only mapping {p: QFraction(N[n][p], D_n)} of
@@ -155,13 +177,17 @@ def a_table(n: int) -> TableRow:
 
     Rows are cached for the life of the process and row n is built from rows
     n-1 and n-2 by the row step of the module docstring on packed values, so
-    the table grows on demand and no row is built twice; a remainder raises
+    the table grows on demand and no row is built twice.  Missing rows are
+    built bottom-up, once ``_table_bound`` accepts n; a remainder raises
     IntegralityViolation.
     """
     if n < 1:
         raise ValueError("a_table requires n >= 1")
+    _table_bound(n)
     if n == 1:
         return TableRow(1, {1: PackedPoly.pack(LaurentPoly.one())})
+    for k in range(2, n):     # each row below n finds its own two below cached
+        a_table(k)
     prev, below = a_table(n - 1).nums, a_table(n - 2).nums if n > 2 else {}
     top = _brace(2 * n - 1)     # D_n = D_{n-1} {2n-1}
     width = max(v.width for v in prev.values())
@@ -179,13 +205,15 @@ def a_table(n: int) -> TableRow:
     return TableRow(n, cur)
 
 
-def _sum_row(n: int, width: int) -> tuple[LaurentPoly, ...]:
-    """chat[n][1..width] by the Newton step of the module docstring over row n."""
+def _sum_row(n: int, width: int) -> tuple[PackedPoly, ...]:
+    """chat[n][1..width] by the Newton step of the module docstring over row n,
+    packed, once ``_table_bound`` accepts the size."""
+    _table_bound(n, width)
     b = {p: _brace(2 * p) * (-v if (n + p) % 2 else v) for p, v in a_table(n).nums.items()}
     braces = (2,) + row_braces(n)
     out = []
     for i in range(1, width + 1):
-        out.append(exact_quotient(sum(b.values()), braces, f"coefficient (n={n}, i={i})").unpack())
+        out.append(exact_quotient(sum(b.values()), braces, f"coefficient (n={n}, i={i})"))
         if i < width:     # w_p - w_i = {2(p-i)}{2(p+i)}
             b = {p: _brace(2 * (p - i)) * (_brace(2 * (p + i)) * v) for p, v in b.items() if p > i}
     return tuple(out)
@@ -196,11 +224,12 @@ def coeff_sum(n: int, i: int) -> LaurentPoly:
 
     The classical coefficients vanish for p < i, so the sum starts at i.  The
     Newton step of the module docstring makes chat[n][1..i], one sum over D_n {2}
-    per coefficient divided exactly, held in the row cache of ``_row``.
+    per coefficient divided exactly, held packed in the row cache of ``_row``;
+    the entry is unpacked as it is returned.
     """
     if i < 1 or n < i:
         raise IndexError(f"coeff_sum out of range: n={n}, i={i}")
-    return _row("sum", n, i)[i - 1]
+    return _row("sum", n, i)[i - 1].unpack()
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +362,21 @@ def _eigen_layers(rows: int, n: int, t1_one: bool = False, t2_one: bool = False)
 
 
 def _sweep(n: int, width: int, t1_one: bool = False, t2_one: bool = False
-           ) -> tuple[LaurentPoly, ...]:
+           ) -> tuple[PackedPoly, ...]:
     """chat[n][1..width] from layer n of the eigen rows N = 1..2*width-1.
 
     With r_m = y^(m)_n on the odd m, {2} chat[n][1] = r_1, and each step
     r'_m = r_{m+2} + r_{m-2} - (q^4i + q^-4i) r_m, with r_{-1} = -r_1,
     turns {2} chat[n][i] into {2} chat[n][i+1] (the dual of multiplying
     eigen_product(i) by X^2 + X^-2 - q^4i - q^-4i).  The map runs on packed
-    values; only r_1 is unpacked at each step.  The one division is the
-    exact {2} per coefficient; a remainder raises IntegralityViolation.
+    values and the row stays packed.  The one division is the exact {2} per
+    coefficient; a remainder raises IntegralityViolation.
     """
     layer = deque(_eigen_layers(2 * width - 1, n, t1_one, t2_one), maxlen=1).pop()
     r = [layer[m] for m in range(1, 2 * width, 2)]
     out = []
     for i in range(1, width + 1):
-        out.append(exact_quotient(r[0], (2,), f"series coefficient (n={n}, i={i})").unpack())
+        out.append(exact_quotient(r[0], (2,), f"series coefficient (n={n}, i={i})"))
         if i < width:
             w = _qsum(4 * i)
             r = [r[j + 1] + (r[j - 1] if j else -r[0]) - w * r[j] for j in range(len(r) - 1)]
@@ -363,8 +392,8 @@ def coeff_series(i: int, order: int) -> TruncatedSeries:
         raise ValueError("coeff_series requires i >= 1")
     if order < i:
         raise ValueError("order must be at least i")
-    return TruncatedSeries([0] * i + [_row("series", n, i)[i - 1] for n in range(i, order + 1)],
-                           order)
+    return TruncatedSeries([0] * i + [_row("series", n, i)[i - 1].unpack()
+                                      for n in range(i, order + 1)], order)
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +487,22 @@ def check_route(route: str, t1=None, t2=None, i: int = 1) -> None:
         raise RouteUnavailable("the macdonald route needs t2 = 1")
 
 
-# chat[n][1..w] per (route, n, t1 = 1?, t2 = 1?), widened only when a larger i is asked for
-_ROWS: dict[tuple[str, int, bool, bool], tuple[LaurentPoly, ...]] = {}
+# chat[n][1..w], packed, per (route, n, t1 = 1?, t2 = 1?), widened only when a larger
+# i is asked for
+_ROWS: dict[tuple[str, int, bool, bool], tuple[PackedPoly, ...]] = {}
 
 
-def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly, ...]:
+def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[PackedPoly, ...]:
     """chat[n][1..w] by ``route`` (series, sum or macdonald) for some w >= width,
-    specialized as asked.
+    specialized as asked, held packed.
 
     The first request for a row makes ``width`` entries and a later, wider
     one the whole row, so requests in ascending i make a row at most twice.
     A specialized row is the route's own row (formal for series and sum,
-    t2 = 1 for macdonald), specialized entry by entry, when that is cached
-    wide enough.  Otherwise series sweeps the row already specialized and
-    macdonald makes its own row first; sum only ever gets formal requests.
+    t2 = 1 for macdonald), specialized by ``PackedPoly.specialize``, when that
+    is cached wide enough.  Otherwise series sweeps the row already
+    specialized and macdonald makes its own row first; sum only ever gets
+    formal requests.  ``coefficient`` and ``coefficient_row`` unpack.
     """
     t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
     row = _ROWS.get((route, n, t1_one, t2_one))
@@ -481,11 +512,11 @@ def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[LaurentPoly,
         mac = route == "macdonald"
         own = _row(route, n, width, t2=t2) if mac and t1_one else _ROWS.get((route, n, False, mac))
         if own is not None and len(own) >= width:
-            row = tuple(specialize(p, t1, None if mac else t2) for p in own[:width])
+            row = tuple(p.specialize(t1_one, t2_one and not mac) for p in own[:width])
         elif route == "series":
             row = _sweep(n, width, t1_one, t2_one)
         elif mac:
-            row = tuple(coeff_t2one(n, j) for j in range(1, width + 1))
+            row = tuple(PackedPoly.pack(coeff_t2one(n, j)) for j in range(1, width + 1))
         else:
             row = _sum_row(n, width)
         _ROWS[route, n, t1_one, t2_one] = row
@@ -506,20 +537,29 @@ def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> Laur
     ``route`` is one of ROUTES; every route gives the same polynomial where
     it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
     formal variable) or the int 1.  The default series route divides only
-    by {2}, once per coefficient.  The series and macdonald routes read the
-    row cached by ``_row``; the sum route specializes ``coeff_sum``'s entry.
+    by {2}, once per coefficient.  The series and macdonald routes unpack the
+    row entry cached by ``_row``; the sum route specializes ``coeff_sum``'s entry.
     The det route truncates its series at order n.
     """
     if _checked(n, i, route, t1, t2, 1):
-        return _row(route, n, i, t1, t2)[i - 1]
+        return _row(route, n, i, t1, t2)[i - 1].unpack()
     poly = coeff_sum(n, i) if route == "sum" else coeff_det_series(i, n).coeff(n)
     return specialize(poly, t1, t2)
+
+
+def packed_row(n: int, width: int, route: str = "series", t1=None, t2=None
+               ) -> tuple[PackedPoly, ...]:
+    """chat[n][1..width], 0 <= width <= n, packed: the row ``_row`` holds, or for sum
+    and det the entries of ``coefficient_row``, each packed."""
+    if _checked(n, width, route, t1, t2, 0):
+        return _row(route, n, width, t1, t2)[:width] if width else ()
+    return tuple(PackedPoly.pack(p) for p in coefficient_row(n, width, route, t1, t2))
 
 
 def coefficient_row(n: int, width: int, route: str = "series", t1=None, t2=None
                     ) -> tuple[LaurentPoly, ...]:
     """chat[n][1..width], 0 <= width <= n, as ``coefficient`` gives them: one ``_row``
-    lookup, or for sum and det one entry at a time, the widest first (see ``_row``)."""
+    lookup unpacked, or for sum and det one entry at a time, the widest first."""
     if _checked(n, width, route, t1, t2, 0):
-        return _row(route, n, width, t1, t2)[:width] if width else ()
+        return tuple(p.unpack() for p in _row(route, n, width, t1, t2)[:width]) if width else ()
     return tuple(reversed([coefficient(n, i, route, t1, t2) for i in range(width, 0, -1)]))

@@ -474,6 +474,7 @@ _SH_Q, _SH_T1, _SH_T2 = _SHIFTS[_VIDX["q"]], _SHIFTS[_VIDX["t1"]], _SHIFTS[_VIDX
 _QT_FIELDS = sum(_MASK << s for s in (_SH_Q, _SH_T1, _SH_T2))
 _NOT_QT = ~_QT_FIELDS
 _NOT_QT_OFFSET = _OFFSET & _NOT_QT     # the other fields of a monomial in q, t1, t2
+_BELOW_Q, _Q_ZERO = (1 << _SH_Q) - 1, _BIAS << _SH_Q
 _LITTLE_ENDIAN = sys.byteorder == "little"     # 64-bit digits can be read as native words
 
 
@@ -482,20 +483,22 @@ def _width(bound: int) -> int:
     return 64 * ((bound.bit_length() + 64) // 64)
 
 
-def _biased(v: int, width: int) -> bytes:
-    """The balanced base-2^W digits of ``v``, lowest first, each plus 2^(W-1) as one
-    little-endian W-bit field; every int has them, and the top field may be a zero digit."""
+def _balanced(v: int, width: int) -> bytes:
+    """The balanced base-2^W digits of ``v``, lowest first, each as one little-endian
+    W-bit two's complement field; every int has them, and the top field may be a zero
+    digit.  Adding 2^(W-1) to every field lifts each digit into [0, 2^W) with no carry,
+    and flipping each field's top bit turns it into the digit's two's complement."""
     step = width // 8
     nd = (v.bit_length() + 1) // width + 1
     bias = int.from_bytes((1 << (width - 1)).to_bytes(step, "little") * nd, "little")
-    return (v + bias).to_bytes(nd * step, "little")
+    return ((v + bias) ^ bias).to_bytes(nd * step, "little")
 
 
 def _words(raw: bytes):
-    """The little-endian 64-bit words of ``raw`` as native unsigned ints, with no Python loop."""
+    """The little-endian 64-bit words of ``raw`` as native signed ints, with no Python loop."""
     if _LITTLE_ENDIAN:
-        return memoryview(raw).cast("Q")
-    words = array("Q", raw)
+        return memoryview(raw).cast("q")
+    words = array("q", raw)
     words.byteswap()
     return words
 
@@ -504,11 +507,11 @@ def _digit_bounds(vs: Iterable[int], width: int) -> tuple[int, int]:
     """Upper bounds on the largest |digit| of the ints ``vs`` in base 2^W, exact at
     W = 64, and on the sum of all their |digits|: per int, one ``to_bytes``, a cast
     and ``min`` / ``max`` over the top word of each digit."""
-    k, s, half = width // 64, width - 64, 1 << (width - 1)
+    k, s = width // 64, width - 64
     top = norm = 0
     for v in vs:
-        words = _words(_biased(v, width))[k - 1::k]
-        digit = max(((max(words) + 1) << s) - 1 - half, half - (min(words) << s))
+        words = _words(_balanced(v, width))[k - 1::k]     # each digit's top word, floor(d / 2^s)
+        digit = max(((max(words) + 1) << s) - 1, -(min(words) << s))
         top, norm = max(top, digit), norm + digit * len(words)
     return top, norm
 
@@ -547,19 +550,19 @@ class PackedPoly:
     def pack(cls, p: LaurentPoly, width: int = 64) -> PackedPoly:
         """``p`` packed with at least ``width``-bit digits, wider if a coefficient
         needs it; ValueError unless p is a polynomial in q, t1 and t2."""
-        terms = []
-        for key, c in p._t.items():
+        t = p._t
+        bound = max(map(abs, t.values()), default=0)
+        width = max(width, _width(bound))
+        # the biased low end of the q window: q is the top field, so the least key has it
+        base = min(t, default=_OFFSET) >> _SH_Q
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in t.items():
             if key & _NOT_QT != _NOT_QT_OFFSET:
                 raise ValueError("only polynomials in q, t1 and t2 can be packed")
-            e_q = ((key >> _SH_Q) & _MASK) - _BIAS
-            terms.append((key - (e_q << _SH_Q), e_q, c))
-        bound = max((abs(c) for *_, c in terms), default=0)
-        width = max(width, _width(bound))
-        low = min((e_q for _, e_q, _ in terms), default=0)
-        out: dict[int, int] = {}
-        for tkey, e_q, c in terms:
-            out[tkey] = out.get(tkey, 0) + (c << width * (e_q - low))
-        return cls._raw(out, low, width, bound, sum(abs(c) for *_, c in terms))
+            tkey = key & _BELOW_Q | _Q_ZERO
+            out[tkey] = get(tkey, 0) + (c << width * ((key >> _SH_Q) - base))
+        return cls._raw(out, base - _BIAS, width, bound, sum(map(abs, t.values())))
 
     @property
     def is_zero(self) -> bool:
@@ -568,23 +571,23 @@ class PackedPoly:
     def unpack(self) -> LaurentPoly:
         """The LaurentPoly this value packs, with the true bound on its exponents;
         OverflowError if a q exponent leaves the monomial fields."""
-        width, half = self.width, 1 << (self.width - 1)
+        width = self.width
         step = width // 8
         out: dict[int, int] = {}
         e_max = 0
         for tkey, v in self._v.items():
             lo = ((v & -v).bit_length() - 1) // width     # the lowest nonzero digit
-            raw = _biased(v >> width * lo, width)
+            raw = _balanced(v >> width * lo, width)
             if width == 64:
                 digits = _words(raw)
             else:
-                digits = [int.from_bytes(raw[j:j + step], "little")
+                digits = [int.from_bytes(raw[j:j + step], "little", signed=True)
                           for j in range(0, len(raw), step)]
             base = tkey + ((self.low + lo) << _SH_Q)
             top = 0
             for j, d in enumerate(digits):
-                if d != half:
-                    out[base + (j << _SH_Q)] = d - half
+                if d:
+                    out[base + (j << _SH_Q)] = d
                     top = j
             e_max = max(e_max, _t_degree(tkey), abs(self.low + lo), abs(self.low + lo + top))
         if e_max >= _BIAS:
@@ -657,6 +660,34 @@ class PackedPoly:
                 else:
                     del out[k]
         return PackedPoly._raw(out, a.low + b.low, a.width, bound, a.norm * b.norm)
+
+    def specialize(self, t1_one: bool, t2_one: bool) -> PackedPoly:
+        """This value with t1 and/or t2 set to 1: each slice key loses its t1 / t2
+        exponent, and the slices whose keys then agree add as ints, since they share
+        the q window.  A merge of g slices at most multiplies the largest |coefficient|
+        by g and never lifts it past ``norm``."""
+        mask = (_MASK << _SH_T1 if t1_one else 0) | (_MASK << _SH_T2 if t2_one else 0)
+        if not mask:
+            return self
+        keep, fill = ~mask, _OFFSET & mask
+        sizes: dict[int, int] = {}
+        for k in self._v:
+            k = k & keep | fill
+            sizes[k] = sizes.get(k, 0) + 1
+        group = max(sizes.values(), default=1)
+        p, bound = self, min(self.norm, self.bound * group)
+        if bound >> (p.width - 1):
+            (p,), bound = _fit((p,), lambda p: min(p.norm, p.bound * group))
+        out: dict[int, int] = {}
+        get = out.get
+        for k, v in p._v.items():
+            k = k & keep | fill
+            s = get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return PackedPoly._raw(out, p.low, p.width, bound, p.norm)
 
 
 def _fit(ops: tuple[PackedPoly, ...], bound_of) -> tuple[tuple[PackedPoly, ...], int]:

@@ -21,8 +21,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import (RouteUnavailable, a_table, check_route, coefficient_row, exact_quotient,
-                    specialize)
+from .cyclo import RouteUnavailable, a_table, check_route, exact_quotient, packed_row
 from .exactalg import LaurentPoly, PackedPoly
 from .qcombo import cyclotomic_c, qint, row_braces
 
@@ -56,6 +55,9 @@ class KnotRecord:
             return LaurentPoly.zero()
         raise MissingHabiro(
             f"knot {self.name!r} defines H_k only for k < {len(self.habiro)}, needed k={k}")
+
+
+_ONE, _ZERO = LaurentPoly.one(), PackedPoly.pack(LaurentPoly.zero())
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +151,10 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
     det route stops at i = 3 and is refused here.  The result always
     reduces to an integer Laurent polynomial; at t1 = t2 = 1 it equals the
     classical polynomial.
+
+    The sum runs on the packed row of ``cyclo.packed_row``: each entry times H_k
+    packed, one int product per slice (none where H_k = 1), added as packed ints
+    and unpacked once.
     """
     if n < 0:
         raise ValueError("color n must be >= 0")
@@ -157,8 +163,10 @@ def generalized_jones(knot: KnotRecord, n: int, t1=None, t2=None,
     habiro = [knot.habiro_at(k) for k in range(n)]
     while habiro and habiro[-1].is_zero:    # the row reaches the last nonzero H_k
         habiro.pop()
-    row = coefficient_row(n, len(habiro), route, t1, t2)
-    return sum((chat * h for chat, h in zip(row, habiro)), LaurentPoly.zero())
+    row = packed_row(n, len(habiro), route, t1, t2)
+    total = sum((chat if h == _ONE else chat * PackedPoly.pack(h)
+                 for chat, h in zip(row, habiro) if not h.is_zero), _ZERO)
+    return total.unpack()
 
 
 def sigma_trace(k: int, n: int) -> LaurentPoly:
@@ -190,7 +198,8 @@ def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None) -> LaurentPoly:
     Agrees exactly with ``generalized_jones``; the classical polynomials
     J_p are assembled before the transition weights are applied, so the
     two computations share only the table itself.  One polynomial sum over the
-    numerators N[n][p] = D_n a[n][p] is divided exactly by D_n, or raises IntegralityViolation.
+    numerators N[n][p] = D_n a[n][p] is divided exactly by D_n, or raises IntegralityViolation,
+    and specialized packed before its one unpack.
     """
     if n < 0:
         raise ValueError("color n must be >= 0")
@@ -201,4 +210,4 @@ def universal_eval(knot: KnotRecord, n: int, t1=None, t2=None) -> LaurentPoly:
                                                                  num.width)
                 for p, num in a_table(n).nums.items())
     total = exact_quotient(total, row_braces(n), f"universal evaluation at n={n}")
-    return specialize(total.unpack(), t1, t2)
+    return total.specialize(t1 is not None, t2 is not None).unpack()   # check_route: None or 1

@@ -282,3 +282,14 @@ def test_size_past_the_packed_layout_exits_one(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == "error: packed layout bounds out of range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "-n", "600", "-i", "1", "--route", "sum"],
+    ["coeff", "-n", "1200", "-i", "1", "--route", "sum"],
+    ["jones", "--knot", "unknot", "-n", "600", "--route", "sum"],
+], ids=["coeff-600", "coeff-1200", "jones"])
+def test_size_past_the_table_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: table bounds out of range\n"

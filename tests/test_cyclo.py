@@ -2,6 +2,7 @@ import importlib.util
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,7 +263,8 @@ def test_layout_bounds_dominate_the_sweep():
                 for mono, c in y.terms_sorted():
                     assert abs(mono[0]) <= q_bound, (n, width)
                     assert max(abs(mono[1]), abs(mono[2])) <= t_bound, (n, width)
-            assert cyclo._sweep(n, width) == tuple(divide_brace(d[0], 2) for d in duals[:width])
+            assert (tuple(y.unpack() for y in cyclo._sweep(n, width))
+                    == tuple(divide_brace(d[0], 2) for d in duals[:width]))
 
 
 def test_sweep_refuses_sizes_past_the_exponent_fields(monkeypatch):
@@ -277,6 +279,48 @@ def test_sweep_refuses_sizes_past_the_exponent_fields(monkeypatch):
     assert cyclo._layout(3, 21844) == (131068, 21844)     # 2Rn + 2w(w-1) < 2^17
 
 
+def test_table_refuses_sizes_past_the_exponent_fields(monkeypatch):
+    # the refusal comes before any packed work: no row is built, nothing is packed
+    def built(*args):
+        raise AssertionError("the table started")
+
+    monkeypatch.setattr(cyclo, "_step_multipliers", built)
+    monkeypatch.setattr(cyclo, "_brace", built)
+    monkeypatch.setattr(cyclo.PackedPoly, "pack", built)
+    monkeypatch.setattr(cyclo, "_ROWS", {})
+    for call in (lambda: a_table(363), lambda: coeff_sum(362, 1), lambda: coeff_sum(600, 1),
+                 lambda: coefficient(170, 170, "sum"), lambda: universal_eval(unknot(), 1200)):
+        with pytest.raises(ValueError, match="^table bounds out of range$"):
+            call()
+    # n^2 - 1, and n^2 - 1 + 2n + 4n(width - 1) on the sum route, stay below 2^17
+    assert cyclo._table_bound(362) == 131043 and cyclo._table_bound(361, 1) == 131042
+    assert cyclo._table_bound(170, 1) == 29239 and cyclo._table_bound(100, 59) == 33399
+
+
+def test_table_bound_is_met():
+    for n in range(1, 9):
+        e_max = max(abs(mono[0]) for a in a_table(n).values() for mono, _ in a.num.terms_sorted())
+        assert e_max == cyclo._table_bound(n), n
+
+
+def test_table_builds_missing_rows_bottom_up(monkeypatch):
+    # every row is built at the same stack depth: none waits on a recursion below it
+    depths = []
+    step = cyclo._step_multipliers
+
+    def counted(*args):
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return step(*args)
+
+    monkeypatch.setattr(cyclo, "_step_multipliers", counted)
+    a_table.cache_clear()
+    a_table(9)
+    assert len(depths) == sum(range(2, 10)) and max(depths) - min(depths) <= 1
+
+
 def test_wide_layout_rows_match_the_reference(monkeypatch):
     # rows 9, 10 and 12 sweep at 64-bit digits; check every entry at one point
     # of GF(2^61 - 1) against the independent evaluation.  Some tracked bounds
@@ -289,7 +333,7 @@ def test_wide_layout_rows_match_the_reference(monkeypatch):
                             calls.__setitem__(name, calls[name] + 1) or real(self, *args))
     for n in (9, 10, 12):
         for i, chat in enumerate(cyclo._sweep(n, n), 1):
-            got = pt.eval({mono[:3]: c for mono, c in chat.terms_sorted()})
+            got = pt.eval({mono[:3]: c for mono, c in chat.unpack().terms_sorted()})
             assert got == table.chat(n, i), (n, i)
         assert calls["_widened"] == 0, n
     assert calls["_reread"] >= 1

@@ -663,6 +663,54 @@ def test_loose_bounds_are_re_read_before_widening(width):
     assert (loose + loose).width == width and (loose + loose).unpack() == below + below
 
 
+SPECIALIZATIONS = ((True, False), (False, True), (True, True))
+
+
+def substituted(p, t1_one, t2_one):
+    if t1_one:
+        p = p.substitute("t1", 1)
+    return p.substitute("t2", 1) if t2_one else p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(WIDTHS), st.sampled_from(SPECIALIZATIONS))
+def test_packed_specialize_matches_substitute(data, width, spec):
+    # slices merge with the largest digits too, where the sum needs a re-read or more bits
+    p = data.draw(packable(width))
+    value = PackedPoly.pack(p, width).specialize(*spec)
+    want = substituted(p, *spec)
+    assert value.unpack() == want
+    coeffs = [abs(c) for _, c in want.terms_sorted()]
+    assert value.bound >= max(coeffs, default=0) and value.norm >= sum(coeffs)
+    assert PackedPoly.pack(p, width).specialize(False, False).unpack() == p
+
+
+def test_packed_specialize_merges_large_slices_exactly(monkeypatch):
+    big = 1 << 62
+    # two digits of 2^62 add to 2^63, past a 64-bit digit: the merge widens
+    p = L.term(big, q=1, t1=1) + L.term(big, q=1, t1=-1) + L.term(-3, q=-2, t2=1)
+    for spec in SPECIALIZATIONS:
+        value = PackedPoly.pack(p).specialize(*spec)
+        assert value.unpack() == substituted(p, *spec), spec
+        assert value.width == (128 if spec[0] else 64), spec
+    # the merged digits cancel: a tracked bound of 2^63 is still read as the digits' 2^62
+    q = L.term(big, q=1, t1=1) - L.term(big, q=1, t1=-1) + L.var("q", 3)
+    assert PackedPoly.pack(q).specialize(True, False).unpack() == L.var("q", 3)
+    # (P + Q) - Q tracks a bound near 2^62 with small digits: the merge re-reads them
+    loose = PackedPoly.pack(L.term((1 << 62) - 5, q=2, t2=1))
+    small = L.term(3, q=1, t1=1) + L.term(-2, q=1, t1=-1) + L.term(7, q=0, t1=2)
+    value = ((PackedPoly.pack(small) + loose) - loose).specialize(True, True)
+    assert value.width == 64 and value.bound < 1 << 5
+    assert value.unpack() == substituted(small, True, True)
+    # the norm caps the merged bound: one large digit among small ones needs no re-read
+    calls = []
+    reread = PackedPoly._reread
+    monkeypatch.setattr(PackedPoly, "_reread", lambda self: calls.append(self) or reread(self))
+    value = PackedPoly.pack(L.term(big, q=0, t1=1) + L.term(1, q=1, t1=-1)).specialize(True, False)
+    assert (value.width, value.bound, calls) == (64, big + 1, [])
+    assert value.unpack() == L.const(big) + L.var("q")
+
+
 def brace_multisets(min_size=0):
     return st.lists(st.integers(1, 4), min_size=min_size, max_size=3)
 

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gjones import specialize
+from gjones.cyclo import coefficient_row
 from gjones.cli import main
 from gjones.exactalg import LaurentPoly as L
 from gjones.knots import (KnotRecord, MissingHabiro, RouteUnavailable, builtin_knot,
@@ -94,6 +96,43 @@ def test_universal_eval_matches():
             assert universal_eval(K, n) \
                 == generalized_jones(K, n), (K.name, n)
         assert universal_eval(K, 4, t1=1, t2=1) == classical_jones(K, 4)
+
+
+SPECS = (("series", None, None), ("series", 1, None), ("series", None, 1), ("series", 1, 1),
+         ("sum", None, None), ("sum", 1, None), ("macdonald", None, 1), ("macdonald", 1, 1))
+
+
+def dict_sum(knot, n, route, t1, t2):
+    row = coefficient_row(n, n, route, t1, t2)
+    return sum((chat * knot.habiro_at(k) for k, chat in enumerate(row)), L.zero())
+
+
+# H_k: zero, one, or up to three q terms with negative exponents, one coefficient
+# perhaps 2^62 (a 64-bit pack whose products widen) or 2^63 (a 128-bit pack)
+habiro_polys = st.one_of(
+    st.just(L.zero()), st.just(L.one()),
+    st.lists(st.tuples(st.integers(-5, 3), st.sampled_from((-3, -1, 2, 1 << 62, -(1 << 63)))),
+             min_size=1, max_size=3).map(
+        lambda terms: sum((L.term(c, q=e) for e, c in dict(terms).items()), L.zero())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(habiro_polys, min_size=1, max_size=5), st.integers(0, 5), st.sampled_from(SPECS))
+def test_packed_knot_sum_matches_the_dict_sum(habiro, n, spec):
+    knot = KnotRecord("drawn", tuple(habiro), zero_tail=True)
+    assert generalized_jones(knot, n, spec[1], spec[2], spec[0]) == dict_sum(knot, n, *spec)
+
+
+def test_packed_knot_sum_keeps_large_habiro_coefficients():
+    # zero H_k in the middle and at the end, H_1 packed 128 bits wide, H_3's products widen
+    habiro = (L.var("q", -2) - L.one(), L.term((1 << 63) + 1, q=-3), L.zero(),
+              L.term(1 << 62, q=2) - L.var("q", -1), L.one(), L.zero(), L.zero())
+    knot = KnotRecord("large", habiro)
+    for n in range(len(habiro) + 1):
+        for route, t1, t2 in SPECS:
+            got = generalized_jones(knot, n, t1, t2, route)
+            assert got == dict_sum(knot, n, route, t1, t2), (n, route, t1, t2)
+    assert generalized_jones(knot, 5, 1, 1) == classical_jones(knot, 5)
 
 
 def test_sigma_trace_values():
