@@ -19,11 +19,11 @@ import argparse
 import json
 import sys
 
-from .cyclo import ROUTES, a_table, check_route, coefficient, coefficient_row, specialize
+from .cyclo import ROUTES, a_table, check_route, coefficient, coefficient_row
 from .daha import NonPolynomialResult, NotSkewSymmetric
 from .exactalg import IntegralityViolation, LaurentPoly, QFraction
 from .knots import KnotRecord, builtin_knot, generalized_jones, load_knot_file
-from .qcombo import cyclotomic_c
+from .qcombo import cyclotomic_c, row_braces
 from .verify import SUITES, CheckFailed, run_suite
 
 
@@ -140,10 +140,11 @@ def _cmd_table(args) -> str:
     rows = []
     if args.what == "a":
         for n in range(1, nmax + 1):
-            row = a_table(n)
+            nums = a_table(n).nums
             for p in range(1, n + 1):
-                f = row.get(p, QFraction.zero())
-                f = QFraction(specialize(f.num, t1, t2), f.den).reduced()
+                num = (nums[p].specialize(t1 is not None, t2 is not None).unpack() if p in nums
+                       else LaurentPoly.zero())
+                f = QFraction(num, row_braces(n)).reduced()
                 if args.format == "json":
                     rows.append({"n": n, "p": p, "num": f.num.json_terms(),
                                  "den": list(f.den)})

@@ -24,10 +24,10 @@ starts from b_p = (-1)^(n+p) {2p} N[n][p], takes chat[n][i] = sum_p b_p /
 The numerators are held as q-packed values (``exactalg.PackedPoly``): the row
 step, the sum route and ``knots.universal_eval`` multiply and add packed ints
 and make each brace division one certified ``divide_braces``, as does the
-{2} division of the lam-series sweep.  The coefficient rows stay packed in the
-row cache of ``_row``, where setting t1 or t2 to 1 merges slices
-(``PackedPoly.specialize``); ``coefficient`` and ``coefficient_row`` unpack
-them, and ``packed_row`` hands them to ``knots.generalized_jones`` packed.
+{2} division of the lam-series sweep.  Rows stay packed in the row cache of
+``_row``, and setting t1 or t2 to 1 merges packed slices (``PackedPoly.specialize``)
+there, in det entries and in knot sums alike, before the one unpack; ``coefficient``
+and ``coefficient_row`` unpack rows, and ``packed_row`` hands them to ``knots`` packed.
 
 Generalized cyclotomic coefficients are then available by four routes:
 
@@ -71,15 +71,6 @@ def exact_quotient(num: PackedPoly, braces: tuple[int, ...], what: str) -> Packe
     return quot
 
 
-def integral(frac: QFraction, what: str) -> LaurentPoly:
-    """``frac``, a fraction in q, t1 and t2, as an integer Laurent polynomial.
-
-    Every generalized coefficient and knot polynomial must come out that
-    way: its numerator is packed and divided by ``exact_quotient``.
-    """
-    return exact_quotient(PackedPoly.pack(frac.num), frac.den, what).unpack()
-
-
 def _sets_one(value, name: str) -> bool:
     """Whether a specialization argument sets its variable to 1.
 
@@ -94,7 +85,8 @@ def _sets_one(value, name: str) -> bool:
 
 
 def specialize(p: LaurentPoly, t1=None, t2=None) -> LaurentPoly:
-    """Set t1 and/or t2 to 1 where the argument is the int 1; None keeps the variable."""
+    """Set t1 and/or t2 to 1 where the argument is the int 1; None keeps the variable.
+    The dict reference the tests check against: the library merges packed slices."""
     if _sets_one(t1, "t1"):
         p = p.substitute("t1", 1)
     if _sets_one(t2, "t2"):
@@ -219,17 +211,17 @@ def _sum_row(n: int, width: int) -> tuple[PackedPoly, ...]:
     return tuple(out)
 
 
-def coeff_sum(n: int, i: int) -> LaurentPoly:
+def coeff_sum(n: int, i: int, t1=None, t2=None) -> LaurentPoly:
     """Generalized cyclotomic coefficient via sum_{p=i}^{n} (-1)^(n+p) a[n][p] c[p][i-1].
 
     The classical coefficients vanish for p < i, so the sum starts at i.  The
     Newton step of the module docstring makes chat[n][1..i], one sum over D_n {2}
-    per coefficient divided exactly, held packed in the row cache of ``_row``;
-    the entry is unpacked as it is returned.
+    per coefficient divided exactly, held packed in the row cache of ``_row``,
+    specialized there as ``t1`` / ``t2`` ask and unpacked as it is returned.
     """
     if i < 1 or n < i:
         raise IndexError(f"coeff_sum out of range: n={n}, i={i}")
-    return _row("sum", n, i)[i - 1].unpack()
+    return _row("sum", n, i, t1, t2)[i - 1].unpack()
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +455,8 @@ def coeff_t2one(n: int, i: int) -> LaurentPoly:
     acc = QFraction(cyclotomic_c(i, i) * rog * LaurentPoly.var("q", -2 * (n - i) * (i - 1)))
     for k in range(2, i + 1):
         acc = acc * a_ratio(k).substitute("t2", 1)
-    return integral(acc, f"t2=1 coefficient (n={n}, i={i})")
+    return exact_quotient(PackedPoly.pack(acc.num), acc.den,
+                          f"t2=1 coefficient (n={n}, i={i})").unpack()
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +492,11 @@ def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[PackedPoly, 
     The first request for a row makes ``width`` entries and a later, wider
     one the whole row, so requests in ascending i make a row at most twice.
     A specialized row is the route's own row (formal for series and sum,
-    t2 = 1 for macdonald), specialized by ``PackedPoly.specialize``, when that
-    is cached wide enough.  Otherwise series sweeps the row already
-    specialized and macdonald makes its own row first; sum only ever gets
-    formal requests.  ``coefficient`` and ``coefficient_row`` unpack.
+    t2 = 1 for macdonald), specialized by ``PackedPoly.specialize``: sum and
+    macdonald make or widen their own row through ``_row`` first, and series
+    uses its own row when that is cached wide enough and otherwise sweeps the
+    row already specialized, which costs less than a formal sweep.
+    ``coefficient`` and ``coefficient_row`` unpack.
     """
     t1_one, t2_one = _sets_one(t1, "t1"), _sets_one(t2, "t2")
     row = _ROWS.get((route, n, t1_one, t2_one))
@@ -510,9 +504,10 @@ def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[PackedPoly, 
         if row is not None:
             width = n
         mac = route == "macdonald"
-        own = _row(route, n, width, t2=t2) if mac and t1_one else _ROWS.get((route, n, False, mac))
-        if own is not None and len(own) >= width:
-            row = tuple(p.specialize(t1_one, t2_one and not mac) for p in own[:width])
+        own = (route, n, False, mac)     # the own row: formal, or t2 = 1 for macdonald
+        if own[2:] != (t1_one, t2_one) and (route != "series" or len(_ROWS.get(own, ())) >= width):
+            row = tuple(p.specialize(t1_one, t2_one and not mac)
+                        for p in _row(route, n, width, t2=1 if mac else None))
         elif route == "series":
             row = _sweep(n, width, t1_one, t2_one)
         elif mac:
@@ -524,7 +519,7 @@ def _row(route: str, n: int, width: int, t1=None, t2=None) -> tuple[PackedPoly, 
 
 
 def _checked(n: int, i: int, route: str, t1, t2, least: int) -> bool:
-    """``check_route`` and least <= i <= n; whether ``_row`` holds the route's rows."""
+    """``check_route`` and least <= i <= n; whether to read ``_row`` (sum asks ``coeff_sum``)."""
     check_route(route, t1, t2, i)
     if i < least or n < i:
         raise IndexError(f"coefficient out of range: n={n}, i={i}")
@@ -538,13 +533,15 @@ def coefficient(n: int, i: int, route: str = "series", t1=None, t2=None) -> Laur
     it applies (see ``check_route``).  ``t1``/``t2`` are None (keep the
     formal variable) or the int 1.  The default series route divides only
     by {2}, once per coefficient.  The series and macdonald routes unpack the
-    row entry cached by ``_row``; the sum route specializes ``coeff_sum``'s entry.
-    The det route truncates its series at order n.
+    row entry cached by ``_row``; the sum route asks ``coeff_sum`` for it, once per
+    entry.  The det route truncates its series at order n and packs the entry.
     """
     if _checked(n, i, route, t1, t2, 1):
         return _row(route, n, i, t1, t2)[i - 1].unpack()
-    poly = coeff_sum(n, i) if route == "sum" else coeff_det_series(i, n).coeff(n)
-    return specialize(poly, t1, t2)
+    if route == "sum":
+        return coeff_sum(n, i, t1, t2)
+    det = PackedPoly.pack(coeff_det_series(i, n).coeff(n))
+    return det.specialize(t1 is not None, t2 is not None).unpack()     # check_route: None or 1
 
 
 def packed_row(n: int, width: int, route: str = "series", t1=None, t2=None

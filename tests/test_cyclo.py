@@ -11,7 +11,7 @@ from gjones import cyclo, daha, knots
 from gjones.cli import main
 from gjones.cyclo import (ROUTES, IntegralityViolation, RouteUnavailable, _eigen_layers, a_ratio,
                           a_table, b_entry, coeff_det_series, coeff_series, coeff_sum,
-                          coeff_t2one, coefficient, coefficient_row, gamma_lam, integral,
+                          coeff_t2one, coefficient, coefficient_row, gamma_lam,
                           specialize)
 from gjones.exactalg import (LaurentPoly as L, PackedPoly, QFraction as F, divide_brace,
                              qbrace_poly)
@@ -389,7 +389,8 @@ def test_each_colour_swept_once(monkeypatch, capsys):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 6), st.sampled_from((("series", None), ("series", 1),
-                                                       ("macdonald", 1))),
+                                                       ("macdonald", 1), ("sum", None),
+                                                       ("sum", 1))),
        st.sampled_from((None, 1)))
 def test_rows_specialize_like_sum(data, n, route_t2, t1):
     route, t2 = route_t2
@@ -420,9 +421,32 @@ def test_rows_are_their_entries(data, n, route_t2, t1):
 
 def test_det_rows_are_their_entries():
     for n, width in ((3, 3), (4, 2), (5, 3)):
-        for t2 in (None, 1):
-            want = tuple(coefficient(n, i, t2=t2) for i in range(1, width + 1))
-            assert coefficient_row(n, width, "det", t2=t2) == want, (n, width, t2)
+        for t1 in (None, 1):
+            for t2 in (None, 1):
+                want = tuple(coefficient(n, i, t1=t1, t2=t2) for i in range(1, width + 1))
+                row = coefficient_row(n, width, "det", t1, t2)
+                assert row == want, (n, width, t1, t2)
+                # the det entries, specialized packed, against the dict reference
+                assert row == tuple(specialize(coeff_det_series(i, n).coeff(n), t1, t2)
+                                    for i in range(1, width + 1)), (n, width, t1, t2)
+
+
+def test_sum_rows_made_once(monkeypatch):
+    built, asked = [], []
+    sum_row, entry = cyclo._sum_row, cyclo.coeff_sum
+    monkeypatch.setattr(cyclo, "_sum_row", lambda n, w: built.append((n, w)) or sum_row(n, w))
+    monkeypatch.setattr(cyclo, "coeff_sum",
+                        lambda n, i, *spec: asked.append((n, i, *spec)) or entry(n, i, *spec))
+    monkeypatch.setattr(cyclo, "_ROWS", {})
+    specs = ((1, 1), (None, 1), (1, None), (None, None))    # specialized first: no formal row yet
+    for t1, t2 in specs:
+        for n in range(1, 7):
+            coefficient_row(n, n, "sum", t1, t2)
+    # each formal row is made once, by the first specialized request, and every
+    # entry asked for is one coeff_sum call, specialized requests included
+    assert built == [(n, n) for n in range(1, 7)]
+    assert asked == [(n, i, t1, t2) for t1, t2 in specs
+                     for n in range(1, 7) for i in range(n, 0, -1)]     # the widest first
 
 
 def test_macdonald_own_row_kept(monkeypatch):
@@ -534,7 +558,7 @@ def test_det_t2one_factorized_form():
         for k in range(1, i + 1):
             zk = L.term(1, q=2 * (2 * k - 1), t1=-1) + L.term(1, q=-2 * (2 * k - 1), t1=1)
             prod = prod * TruncatedSeries([L.one(), -zk, L.one()], order).invert()
-        rhs = prod.scale(integral(pref, f"prefactor (i={i})")).shift(i)
+        rhs = prod.scale(pref.over(())).shift(i)
         for n in range(order + 1):
             got = lhs.coeff(n).substitute("t2", 1)
             assert got == rhs.coeff(n), (i, n)
