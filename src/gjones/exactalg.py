@@ -27,7 +27,8 @@ over its own q window, so that a product is one integer product per pair of
 slices and multiplying by a two-term monomial sum (``PackedBinomial``) is a
 shift and an add.  Each value starts at 64-bit digits and carries a bound on
 its coefficients; before an operation could overflow its digits, it re-reads
-its operands' bounds from their digits and widens only if they still could.
+its operands' bounds from their digits, exactly at every width, and widens
+only if they still could.
 
 There are two exact polynomial divisions, each returning None on a
 remainder.  ``divide_binomial`` divides a LaurentPoly by a sum of two
@@ -96,18 +97,25 @@ def _require_int(value, what: str) -> None:
         raise TypeError(f"{what} must be an int, not {type(value).__name__} {value!r}")
 
 
+def _shift(name: str) -> int:
+    """The offset of variable ``name``'s field in a packed key; ValueError for a name
+    outside ``VARS``."""
+    if name not in _VIDX:
+        raise ValueError(f"unknown variable {name!r}; allowed: {', '.join(VARS)}")
+    return _SHIFTS[_VIDX[name]]
+
+
 def _mono_key(**exps: int) -> tuple[int, int]:
     """The packed key of a monomial and its largest |exponent|."""
     key = _OFFSET
     bound = 0
     for name, e in exps.items():
-        if name not in _VIDX:
-            raise ValueError(f"unknown variable {name!r}; allowed: {', '.join(VARS)}")
+        sh = _shift(name)
         _require_int(e, f"the exponent of {name}")
         if abs(e) >= _EXP_LIMIT:
             raise ValueError(f"exponent {e} out of supported range")
         bound = max(bound, abs(e))
-        key += e << _SHIFTS[_VIDX[name]]
+        key += e << sh
     return key, bound
 
 
@@ -216,19 +224,7 @@ class LaurentPoly:
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if len(self._t) < len(other._t):      # loop over the smaller operand
-            return -(other - self)
-        if not other._t:
-            return self
-        out = dict(self._t)
-        get = out.get
-        for k, c in other._t.items():
-            s = get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return LaurentPoly._raw(out, self._e if self._e > other._e else other._e)
+        return self + -other
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
@@ -301,6 +297,7 @@ class LaurentPoly:
         and -1 are accepted); its exponents may be negative, so inversions
         like U -> U^-1 and evaluations like U -> -q^2 are all covered.
         """
+        sh = _shift(name)
         if isinstance(image, int):
             image = LaurentPoly.const(image)
         if len(image._t) != 1:
@@ -309,7 +306,6 @@ class LaurentPoly:
         if ic not in (1, -1):
             raise ValueError("substitution image must have coefficient +1 or -1")
         delta = ikey - _OFFSET
-        sh = _SHIFTS[_VIDX[name]]
         # each exponent moves by at most (exponent of name) * (largest image exponent)
         bound = self._e * (1 + image._e)
         if bound >= _BIAS:
@@ -494,25 +490,27 @@ def _balanced(v: int, width: int) -> bytes:
     return ((v + bias) ^ bias).to_bytes(nd * step, "little")
 
 
-def _words(raw: bytes):
-    """The little-endian 64-bit words of ``raw`` as native signed ints, with no Python loop."""
-    if _LITTLE_ENDIAN:
-        return memoryview(raw).cast("q")
-    words = array("q", raw)
-    words.byteswap()
-    return words
+def _digits(raw: bytes, width: int):
+    """The digits of ``_balanced(v, width)``, lowest first, as signed ints: at W = 64 its
+    native words cast with no Python loop, above that one int read per W-bit field."""
+    if width == 64:
+        if _LITTLE_ENDIAN:
+            return memoryview(raw).cast("q")
+        words = array("q", raw)
+        words.byteswap()
+        return words
+    step = width // 8
+    return [int.from_bytes(raw[j:j + step], "little", signed=True) for j in range(0, len(raw), step)]
 
 
 def _digit_bounds(vs: Iterable[int], width: int) -> tuple[int, int]:
-    """Upper bounds on the largest |digit| of the ints ``vs`` in base 2^W, exact at
-    W = 64, and on the sum of all their |digits|: per int, one ``to_bytes``, a cast
-    and ``min`` / ``max`` over the top word of each digit."""
-    k, s = width // 64, width - 64
+    """The largest |digit| of the ints ``vs`` in base 2^W, exactly, and an upper bound
+    on the sum of all their |digits|: per int, its largest |digit| times its digit count."""
     top = norm = 0
     for v in vs:
-        words = _words(_balanced(v, width))[k - 1::k]     # each digit's top word, floor(d / 2^s)
-        digit = max(((max(words) + 1) << s) - 1, -(min(words) << s))
-        top, norm = max(top, digit), norm + digit * len(words)
+        digits = _digits(_balanced(v, width), width)
+        digit = max(max(digits), -min(digits))
+        top, norm = max(top, digit), norm + digit * len(digits)
     return top, norm
 
 
@@ -532,10 +530,10 @@ class PackedPoly:
 
     Integer adds, shifts and products give exactly the packed image of the
     true sum or product whatever the size of its digits, so only reading the
-    digits needs bound < 2^(W-1).  Every operation keeps that true: one whose
-    result could reach it first re-reads its operands' bounds from their
-    digits, then widens them if the result still could (``_fit``), so every
-    digit of every value is a coefficient.
+    digits needs bound < 2^(W-1).  Every operation keeps that true through
+    ``_fit``: one whose result could reach it first re-reads its operands'
+    largest |digit| exactly, at any width, then widens them if the result
+    still could, so every digit of every value is a coefficient.
     """
 
     __slots__ = ("_v", "low", "width", "bound", "norm")
@@ -572,17 +570,11 @@ class PackedPoly:
         """The LaurentPoly this value packs, with the true bound on its exponents;
         OverflowError if a q exponent leaves the monomial fields."""
         width = self.width
-        step = width // 8
         out: dict[int, int] = {}
         e_max = 0
         for tkey, v in self._v.items():
             lo = ((v & -v).bit_length() - 1) // width     # the lowest nonzero digit
-            raw = _balanced(v >> width * lo, width)
-            if width == 64:
-                digits = _words(raw)
-            else:
-                digits = [int.from_bytes(raw[j:j + step], "little", signed=True)
-                          for j in range(0, len(raw), step)]
+            digits = _digits(_balanced(v >> width * lo, width), width)
             base = tkey + ((self.low + lo) << _SH_Q)
             top = 0
             for j, d in enumerate(digits):
@@ -608,9 +600,7 @@ class PackedPoly:
             return self
         if not self._v:
             return other if sign > 0 else -other
-        a, b, bound = self, other, self.bound + other.bound
-        if a.width != b.width or bound >> (a.width - 1):
-            (a, b), bound = _fit((a, b), lambda a, b: a.bound + b.bound)
+        (a, b), bound = _fit((self, other), lambda a, b: a.bound + b.bound)
         width, low = a.width, min(a.low, b.low)
         if a.low == low:
             out = dict(a._v)
@@ -645,9 +635,7 @@ class PackedPoly:
         """The product: one integer product per pair of slices."""
         if not isinstance(other, PackedPoly):
             return NotImplemented
-        a, b, bound = self, other, min(self.bound * other.norm, self.norm * other.bound)
-        if a.width != b.width or bound >> (a.width - 1):
-            (a, b), bound = _fit((a, b), lambda a, b: min(a.bound * b.norm, a.norm * b.bound))
+        (a, b), bound = _fit((self, other), lambda a, b: min(a.bound * b.norm, a.norm * b.bound))
         out: dict[int, int] = {}
         get = out.get
         items_b = [(kb - _OFFSET, vb) for kb, vb in b._v.items()]
@@ -675,9 +663,7 @@ class PackedPoly:
             k = k & keep | fill
             sizes[k] = sizes.get(k, 0) + 1
         group = max(sizes.values(), default=1)
-        p, bound = self, min(self.norm, self.bound * group)
-        if bound >> (p.width - 1):
-            (p,), bound = _fit((p,), lambda p: min(p.norm, p.bound * group))
+        (p,), bound = _fit((self,), lambda p: min(p.norm, p.bound * group))
         out: dict[int, int] = {}
         get = out.get
         for k, v in p._v.items():
@@ -691,12 +677,16 @@ class PackedPoly:
 
 
 def _fit(ops: tuple[PackedPoly, ...], bound_of) -> tuple[tuple[PackedPoly, ...], int]:
-    """The one widening rule: ``ops`` at one width whose digits hold ``bound_of(*ops)``,
-    the bound of a result made from them, and that bound.  Where the tracked bounds
-    could overflow, they are re-read from the digits first, and the operands widen
-    only if the re-read bound still could."""
-    width = max(p.width for p in ops)
+    """The one widening rule, and the only code that compares a bound with a width:
+    ``ops``, one or two values, at one width whose digits hold ``bound_of(*ops)``, the
+    bound of a result made from them, and that bound.  Where the tracked bounds could
+    overflow, they are re-read from the digits first, exactly at every width, and the
+    operands widen only if the re-read bound still could."""
     bound = bound_of(*ops)
+    width = ops[0].width
+    if ops[-1].width == width and not bound >> (width - 1):
+        return ops, bound
+    width = max(width, ops[-1].width)
     if bound >> (width - 1):
         ops = tuple(p._reread() for p in ops)
         bound = bound_of(*ops)
@@ -714,9 +704,9 @@ def divide_braces(p: PackedPoly, ms: Iterable[int]) -> PackedPoly | None:
     balanced digits read as a polynomial Q with p - D Q zero at q = B.  The
     coefficients of p - D Q are at most bound(p) + 2^k max|Q|, k braces, so
     when that is below 2^(W-1) they are the digits of 0: p = D Q exactly.
-    Otherwise p is refitted by ``_fit`` and, if that widens it, the division
-    is redone, so a quotient is returned only when it is certified, with its
-    digits' bound as its bound.
+    Otherwise p is refitted by ``_fit``, which re-reads bound(p) exactly, and,
+    if that widens it, the division is redone, so a quotient is returned only
+    when it is certified, with its largest |digit|, read exactly, as its bound.
     """
     ms = tuple(ms)
     while True:
@@ -760,9 +750,7 @@ class PackedBinomial:
     def __mul__(self, other: PackedPoly) -> PackedPoly:
         if not isinstance(other, PackedPoly):
             return NotImplemented
-        bound = 2 * other.bound
-        if bound >> (other.width - 1):
-            (other,), bound = _fit((other,), lambda p: 2 * p.bound)
+        (other,), bound = _fit((other,), lambda p: 2 * p.bound)
         (d1, e1, neg1), (d2, e2, neg2) = self._terms
         sh = other.width * (e2 - e1)     # the window starts at the lower term
         out: dict[int, int] = {}
@@ -1003,17 +991,22 @@ class TruncatedSeries:
         return all(c.is_zero for c in self.coeffs)
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         k = min(self.order, other.order)
         return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)][:k + 1], k)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        k = min(self.order, other.order)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)][:k + 1], k)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self + -other
 
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         k = min(self.order, other.order)
         return TruncatedSeries([_dot(self.coeffs[:n + 1], reversed(other.coeffs[:n + 1]))
                                 for n in range(k + 1)], k)

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +183,8 @@ def test_substitute_rejects_nonmonomial_image():
         L.var("U").substitute("U", L.var("q") + L.one())
     with pytest.raises(ValueError):
         L.var("U").substitute("U", L.term(2, q=1))
+    with pytest.raises(ValueError, match="unknown variable 'z'; allowed: q, t1"):
+        L.var("q").substitute("z", 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,6 +518,9 @@ def test_series_refuses_fractions():
         TruncatedSeries([QFraction(1, (3,))], 2)
     with pytest.raises(TypeError):
         TruncatedSeries([1, 2], 2).scale(QFraction(1, (3,)))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(TruncatedSeries.one(2), 1)
 
 
 def test_min_order_semantics():
@@ -644,11 +651,8 @@ def test_loose_bounds_are_re_read_before_widening(width):
     assert loose.width == width and loose.bound >= 1 << (width - 2)
     m = L.var("q") + L.var("q", -1)
     # tracking alone would widen each result; read from the digits, none needs it
-    # (wider digits are read to within 2^(W-64), too coarse to keep a product)
-    cases = [(loose + loose, p + p), (loose - (-loose), p + p), (PackedBinomial(m) * loose, m * p)]
-    if width == 64:
-        cases.append((loose * loose, p * p))
-    for value, want in cases:
+    for value, want in ((loose + loose, p + p), (loose - (-loose), p + p),
+                        (PackedBinomial(m) * loose, m * p), (loose * loose, p * p)):
         assert value.width == width and value.unpack() == want, want
     # a genuine overflow still widens: 2^(W-2) + 2^(W-2) needs a digit of 2^(W-1)
     edge = L.term(1 << (width - 2), q=1) + p
@@ -661,6 +665,21 @@ def test_loose_bounds_are_re_read_before_widening(width):
     below = L.term((1 << (width - 2)) - 1, q=1) + p
     loose = (PackedPoly.pack(below, width) + q) - q
     assert (loose + loose).width == width and (loose + loose).unpack() == below + below
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((64, 128, 192)))
+def test_reread_is_exact_at_every_width(data, width):
+    # (P + Q) - Q holds P's coefficients but tracks at least 2 max|Q|; Q sits on a
+    # slice of its own, so the sum stays at W digits unless P's largest ones widen it
+    p = data.draw(packable(width))
+    q = PackedPoly.pack(L.term((1 << (width - 2)) - 1, q=1, t1=TB + 1), width)
+    loose = (PackedPoly.pack(p, width) + q) - q
+    assert loose.width >= width and loose.bound >= (1 << (width - 1)) - 2
+    coeffs = [abs(c) for _, c in p.terms_sorted()]
+    reread = loose._reread()
+    assert reread.bound == max(coeffs, default=0) and reread.norm >= sum(coeffs)
+    assert reread.unpack() == p
 
 
 SPECIALIZATIONS = ((True, False), (False, True), (True, True))
